@@ -32,9 +32,9 @@ from .graphs import (CenterInfo, FormatError, Graph, Orientation,
                      is_connected, is_tree, longest_cycle, parse, tree_center)
 from .groups import (DEFAULT_GROUP_CAP, NOT_FIXED, POINTWISE, SETWISE_ONLY,
                      AutGroup, GroupSizeError, Permutation, arc_permutation,
-                     arcs_of, automorphism_group, automorphisms,
-                     fixed_set_status, is_automorphism, is_rigid, is_twisted,
-                     nontrivial_automorphism)
+                     arcs_of, automorphism_generators, automorphism_group,
+                     automorphisms, fixed_set_status, is_automorphism,
+                     is_rigid, is_twisted, nontrivial_automorphism)
 from .orientations import (DEFAULT_EDGE_CAP, EdgeCapError, ODResult,
                            enumerate_orientations, find_rigid_orientation,
                            od_extremes, od_minus, od_plus)

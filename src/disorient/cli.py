@@ -5,7 +5,8 @@ verify, conjecture.  Graph arguments take graph6 or digraph6 text
 inline, an edge list, or @path to read a file.  Output is JSON with
 --output json (stable key order) or labelled text lines by default.
 Exit codes: 0 success, 1 when a verification or scan reports
-violations, 2 on usage or input errors.
+violations, 2 on usage or input errors, 3 on an internal error (an
+unexpected exception, reported with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .complete_bipartite import dprime_kmn, od_minus_kmn
@@ -191,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("json", "text"), default="text")
     common.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
-    common.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
 
     graphish = argparse.ArgumentParser(add_help=False)
     graphish.add_argument("graph", help="graph6/digraph6/edgelist text or @file")
@@ -205,6 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", parents=[common, graphish],
                        help="automorphism group elements")
+    p.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
     p.set_defaults(run=_cmd_aut)
 
     p = sub.add_parser("dprime", parents=[common, graphish],
@@ -263,6 +265,10 @@ def main(argv=None) -> int:
             GroupSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

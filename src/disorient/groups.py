@@ -1,9 +1,11 @@
 """Exact automorphism groups by exhaustive backtracking, and derived tests.
 
-Groups are returned as full element lists in lexicographic order of the
-image array.  Enumeration is capped (default one million elements) and a
-GroupSizeError is raised when the cap is hit, so callers never truncate a
-group silently.
+A group comes either as a strong generating set with its order, found
+by one first-hit backtrack per orbit point whatever the group's size,
+or as a full element list in lexicographic order of the image array.
+Element enumeration is capped (default one million elements) and a
+GroupSizeError is raised when the cap is hit, so callers never truncate
+a group silently.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .graphs import Graph, Orientation
-from .search import codes_for, find_maps, nontrivial_map
+from .search import codes_for, find_maps, nontrivial_map, strong_generators
 
 DEFAULT_GROUP_CAP = 10 ** 6
 
@@ -141,6 +143,12 @@ def automorphism_group(x: Graph | Orientation, *, cap: int = DEFAULT_GROUP_CAP) 
     return AutGroup(tuple(automorphisms(x, cap=cap)))
 
 
+def automorphism_generators(x: Graph | Orientation) -> tuple[tuple[Permutation, ...], int]:
+    """A strong generating set of the automorphism group, and its order."""
+    images, order = strong_generators(codes_for(x))
+    return tuple(Permutation(img) for img in images), order
+
+
 def nontrivial_automorphism(x: Graph | Orientation) -> Permutation | None:
     """Least non-identity automorphism, or None for a rigid structure."""
     img = nontrivial_map(codes_for(x))
@@ -179,6 +187,23 @@ def arc_permutation(g: Graph, p: Permutation) -> Permutation:
         index[(v, u)] = 2 * i + 1
     arcs = arcs_of(g)
     return Permutation(tuple(index[(p.image[t], p.image[h])] for t, h in arcs))
+
+
+def edge_action(g: Graph, p: Permutation) -> tuple[tuple[int, ...], int]:
+    """Action of an automorphism on direction vectors.
+
+    Returns (perm, flips): output bit perm[i] equals input bit i XOR
+    bit i of flips.
+    """
+    perm = []
+    flips = 0
+    for i, (u, v) in enumerate(g.edges):
+        pu, pv = p.image[u], p.image[v]
+        if pu > pv:
+            pu, pv = pv, pu
+            flips |= 1 << i
+        perm.append(g.edge_index[(pu, pv)])
+    return tuple(perm), flips
 
 
 def is_twisted(g: Graph, p: Permutation) -> bool:

@@ -7,24 +7,24 @@ representative per symmetry orbit: two vectors related by a graph
 automorphism carry isomorphic orientations and share every value
 computed here.
 
-Orbit reduction is exact when the automorphism group is moderate.  For
-larger groups a subgroup generated by transposition automorphisms is
-closed over instead, which may only split orbits further and therefore
-never changes a minimum or maximum.  Sweeps refuse to start above a
+Orbits are always exact, whatever the size of the automorphism group,
+with no fallback: each orbit is everything its least vector reaches
+under the actions of a strong generating set of the group.  It is
+walked only when the sweep gets to it, so a sweep that stops early
+never pays for the orbits it skips.  Sweeps refuse to start above a
 configurable edge cap rather than silently take exponential time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .distinguishing import Colouring, dprime
 from .graphs import Graph, Orientation, is_connected
-from .groups import (DEFAULT_GROUP_CAP, GroupSizeError, Permutation,
-                     automorphism_group, is_automorphism, is_rigid)
+from .groups import automorphism_generators, edge_action, is_rigid
 
 DEFAULT_EDGE_CAP = 20
-_FULL_DEDUP_LIMIT = 20000
 
 
 class EdgeCapError(RuntimeError):
@@ -54,128 +54,63 @@ class ODResult:
     colouring_max: Colouring
 
 
-def _edge_action(g: Graph, p: Permutation) -> tuple[tuple[int, ...], int]:
-    """Action of an automorphism on direction vectors.
-
-    Returns (perm, flips): output bit perm[i] equals input bit i XOR
-    bit i of flips.
-    """
-    perm = []
-    flips = 0
-    for i, (u, v) in enumerate(g.edges):
-        pu, pv = p.image[u], p.image[v]
-        if pu > pv:
-            pu, pv = pv, pu
-            flips |= 1 << i
-        perm.append(g.edge_index[(pu, pv)])
-    return tuple(perm), flips
-
-
 def _action_tables(m: int, actions):
     """Split each vector action into two table lookups by half-words."""
     lo_bits = (m + 1) // 2
-    hi_bits = m - lo_bits
     tables = []
     for perm, flips in actions:
-        lo = [0] * (1 << lo_bits)
-        for v in range(1 << lo_bits):
-            w = 0
-            for i in range(lo_bits):
-                w |= (((v >> i) & 1) ^ ((flips >> i) & 1)) << perm[i]
-            lo[v] = w
-        hi = [0] * (1 << hi_bits)
-        for v in range(1 << hi_bits):
-            w = 0
-            for i in range(hi_bits):
-                j = i + lo_bits
-                w |= (((v >> i) & 1) ^ ((flips >> j) & 1)) << perm[j]
-            hi[v] = w
-        tables.append((lo, hi))
+        halves = []
+        for shift, bits in ((0, lo_bits), (lo_bits, m - lo_bits)):
+            half = [0] * (1 << bits)
+            for v in range(1 << bits):
+                w = 0
+                for i in range(bits):
+                    j = i + shift
+                    w |= (((v >> i) & 1) ^ ((flips >> j) & 1)) << perm[j]
+                half[v] = w
+            halves.append(half)
+        tables.append(halves)
     return lo_bits, tables
 
 
-def _orbit_reps(m: int, actions, *, closure: bool) -> list[int]:
-    """Ascending orbit minima of the vector space under the actions.
+def _orbit_reps(g: Graph, edge_cap: int) -> Iterator[int]:
+    """The least direction vector of each orbit under Aut(g), ascending.
 
-    With closure=False the actions must be a whole group (identity not
-    required); with closure=True any generating set works.
+    Each orbit is closed over the generators' actions only after its
+    representative has been handed out.
     """
-    size = 1 << m
-    if not actions:
-        return list(range(size))
-    seen = bytearray(size)
-    lo_bits, tables = _action_tables(m, actions)
+    if g.m > edge_cap:
+        raise EdgeCapError(g.m, edge_cap)
+    gens, _ = automorphism_generators(g)
+    lo_bits, tables = _action_tables(g.m, [edge_action(g, p) for p in gens])
     mask = (1 << lo_bits) - 1
-    reps = []
-    if closure:
-        for v in range(size):
-            if seen[v]:
-                continue
-            reps.append(v)
-            seen[v] = 1
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for lo, hi in tables:
-                    w = lo[u & mask] | hi[u >> lo_bits]
-                    if not seen[w]:
-                        seen[w] = 1
-                        stack.append(w)
-    else:
-        for v in range(size):
-            if seen[v]:
-                continue
-            reps.append(v)
+    seen = bytearray(1 << g.m)
+    for v in range(1 << g.m):
+        if seen[v]:
+            continue
+        yield v
+        seen[v] = 1
+        stack = [v]
+        while stack:
+            u = stack.pop()
             for lo, hi in tables:
-                seen[lo[v & mask] | hi[v >> lo_bits]] = 1
-    return reps
-
-
-def _transposition_automorphisms(g: Graph) -> list[Permutation]:
-    gens = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            image = list(range(g.n))
-            image[u], image[v] = v, u
-            p = Permutation(tuple(image))
-            if is_automorphism(g, p):
-                gens.append(p)
-    return gens
-
-
-def _check_edge_cap(m: int, cap: int) -> None:
-    if m > cap:
-        raise EdgeCapError(m, cap)
-
-
-def _sweep_vectors(g: Graph, edge_cap: int) -> list[int]:
-    """Orbit-representative direction vectors, ascending."""
-    _check_edge_cap(g.m, edge_cap)
-    try:
-        group = automorphism_group(g, cap=_FULL_DEDUP_LIMIT)
-    except GroupSizeError:
-        gens = _transposition_automorphisms(g)
-        return _orbit_reps(g.m, [_edge_action(g, p) for p in gens], closure=True)
-    actions = [_edge_action(g, p) for p in group if not p.is_identity]
-    return _orbit_reps(g.m, actions, closure=False)
+                w = lo[u & mask] | hi[u >> lo_bits]
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
 
 
 def enumerate_orientations(g: Graph, *, up_to_symmetry: bool = True,
-                           edge_cap: int = DEFAULT_EDGE_CAP,
-                           group_cap: int = DEFAULT_GROUP_CAP) -> list[Orientation]:
+                           edge_cap: int = DEFAULT_EDGE_CAP) -> list[Orientation]:
     """All orientations, one per symmetry orbit unless asked otherwise.
 
     Orbit representatives are the least direction vectors, ascending.
-    The exact group is used here, so GroupSizeError propagates when it
-    exceeds group_cap.
     """
-    _check_edge_cap(g.m, edge_cap)
     if not up_to_symmetry:
+        if g.m > edge_cap:
+            raise EdgeCapError(g.m, edge_cap)
         return [Orientation.from_vector(g, v) for v in range(1 << g.m)]
-    group = automorphism_group(g, cap=group_cap)
-    actions = [_edge_action(g, p) for p in group if not p.is_identity]
-    return [Orientation.from_vector(g, v)
-            for v in _orbit_reps(g.m, actions, closure=False)]
+    return [Orientation.from_vector(g, v) for v in _orbit_reps(g, edge_cap)]
 
 
 def _require_connected(g: Graph) -> None:
@@ -183,52 +118,50 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("orientation sweeps require a connected graph")
 
 
-def od_minus(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, Orientation, Colouring]:
-    """Least distinguishing index over all orientations, with witnesses."""
-    _require_connected(g)
-    best = None
-    for v in _sweep_vectors(g, edge_cap):
-        o = Orientation.from_vector(g, v)
-        r = dprime(o)
-        if best is None or r.value < best[0]:
-            best = (r.value, o, r.witness)
-            if r.value == 1:
-                break
-    assert best is not None
-    return best
+def _index_bound(g: Graph) -> int:
+    """The index no orientation exceeds: the graph's own, or 1 for an edge."""
+    return dprime(g).value if g.n != 2 and g.m > 0 else 1
 
 
-def od_plus(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, Orientation, Colouring]:
-    """Greatest distinguishing index over all orientations, with witnesses."""
-    _require_connected(g)
-    bound = dprime(g).value if g.n != 2 and g.m > 0 else 1
-    best = None
-    for v in _sweep_vectors(g, edge_cap):
-        o = Orientation.from_vector(g, v)
-        r = dprime(o)
-        if best is None or r.value > best[0]:
-            best = (r.value, o, r.witness)
-            if r.value == bound:
-                break
-    assert best is not None
-    return best
+def _sweep(g: Graph, edge_cap: int, stop: Callable[[int, int], bool]):
+    """Least and greatest index over orbit representatives, with witnesses.
 
-
-def od_extremes(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> ODResult:
-    """Both extremes in one sweep."""
-    _require_connected(g)
-    bound = dprime(g).value if g.n != 2 and g.m > 0 else 1
+    Returns two (value, orientation, colouring) triples; each keeps the
+    first representative attaining its extreme.  The walk ends early
+    once stop(least, greatest) holds.
+    """
     lo = hi = None
-    for v in _sweep_vectors(g, edge_cap):
+    for v in _orbit_reps(g, edge_cap):
         o = Orientation.from_vector(g, v)
         r = dprime(o)
         if lo is None or r.value < lo[0]:
             lo = (r.value, o, r.witness)
         if hi is None or r.value > hi[0]:
             hi = (r.value, o, r.witness)
-        if lo[0] == 1 and hi[0] == bound:
+        if stop(lo[0], hi[0]):
             break
     assert lo is not None and hi is not None
+    return lo, hi
+
+
+def od_minus(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, Orientation, Colouring]:
+    """Least distinguishing index over all orientations, with witnesses."""
+    _require_connected(g)
+    return _sweep(g, edge_cap, lambda lo, hi: lo == 1)[0]
+
+
+def od_plus(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, Orientation, Colouring]:
+    """Greatest distinguishing index over all orientations, with witnesses."""
+    _require_connected(g)
+    bound = _index_bound(g)
+    return _sweep(g, edge_cap, lambda lo, hi: hi == bound)[1]
+
+
+def od_extremes(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> ODResult:
+    """Both extremes in one sweep."""
+    _require_connected(g)
+    bound = _index_bound(g)
+    lo, hi = _sweep(g, edge_cap, lambda lo, hi: lo == 1 and hi == bound)
     return ODResult(od_minus=lo[0], od_plus=hi[0],
                     witness_min=lo[1], witness_max=hi[1],
                     colouring_min=lo[2], colouring_max=hi[2])
@@ -243,7 +176,7 @@ def find_rigid_orientation(g: Graph, *,
     exceeds 1.
     """
     _require_connected(g)
-    for v in _sweep_vectors(g, edge_cap):
+    for v in _orbit_reps(g, edge_cap):
         o = Orientation.from_vector(g, v)
         if is_rigid(o):
             return o

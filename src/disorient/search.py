@@ -138,6 +138,37 @@ def find_maps(src: list[list[int]], dst: list[list[int]], *,
     yield from place(0)
 
 
+def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Strong generating set of the symmetries of a code matrix, and their number.
+
+    Base 0..n-1, levels filled from the deepest up: the generators found
+    before level i generate the stabiliser of 0..i, and each point w of
+    the orbit of i that they do not yet reach adds the first map pinning
+    0..i-1 and sending i to w (Schreier-Sims transversals).  The order
+    is the product of the orbit lengths.
+    """
+    n = len(codes)
+    label = _refine(codes, codes)[0]
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    for i in range(n - 1, -1, -1):
+        pinned = tuple((v, v) for v in range(i))
+        orbit = [i]
+        for w in range(i + 1, n):
+            if label[w] != label[i] or w in orbit:
+                continue
+            img = next(find_maps(codes, codes, fixed=pinned + ((i, w),)), None)
+            if img is None:
+                continue
+            gens.append(img)
+            for u in orbit:
+                for gen in gens:
+                    if gen[u] not in orbit:
+                        orbit.append(gen[u])
+        order *= len(orbit)
+    return tuple(gens), order
+
+
 def nontrivial_map(codes: list[list[int]], *, fixed=()) -> tuple[int, ...] | None:
     """Least non-identity symmetry of a code matrix, or None.
 

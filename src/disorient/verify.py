@@ -25,14 +25,13 @@ from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
                             compatible_orientation, hamiltonian_orientation,
                             tree_od_values)
 from .distinguishing import dprime
-from .graphs import (Graph, bipartition, encode_digraph6, encode_graph6,
-                     hamiltonian_path, is_claw_free, is_connected, is_tree,
-                     parse)
-from .groups import (NOT_FIXED, automorphism_group, fixed_set_status,
-                     is_automorphism, is_twisted)
-from .orientations import (DEFAULT_EDGE_CAP, _edge_action,
-                           enumerate_orientations, find_rigid_orientation,
-                           od_extremes, od_minus)
+from .graphs import (FormatError, Graph, bipartition, encode_digraph6,
+                     encode_graph6, hamiltonian_path, is_claw_free,
+                     is_connected, is_tree, parse)
+from .groups import (NOT_FIXED, automorphism_group, edge_action,
+                     fixed_set_status, is_automorphism, is_twisted)
+from .orientations import (DEFAULT_EDGE_CAP, enumerate_orientations,
+                           find_rigid_orientation, od_extremes, od_minus)
 
 THEOREM_IDS = ("obs1", "cor3", "cor6", "thm7", "thm8", "thm9", "thm12", "kmn")
 
@@ -113,11 +112,14 @@ class Corpus:
         labels: list[str] = []
         dups: list[str] = []
         seen: set[str] = set()
-        for raw in lines:
+        for lineno, raw in enumerate(lines, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
-            graphs.append(parse("graph6", text))
+            try:
+                graphs.append(parse("graph6", text))
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
             labels.append(text)
             if text in seen:
                 dups.append(text)
@@ -247,7 +249,7 @@ def _parity_fixed_vector_exists(g: Graph, p) -> bool:
     assignment exists exactly when every cycle flips an even number of
     times.
     """
-    perm, flips = _edge_action(g, p)
+    perm, flips = edge_action(g, p)
     seen = [False] * g.m
     for start in range(g.m):
         if seen[start]:
@@ -493,9 +495,8 @@ def _append_cache(path, rows) -> None:
 
 
 def _scan_worker(args):
-    label, which, cap, known_d, known_odm = args
-    g = parse("graph6", label)
-    canon = encode_graph6(g)
+    canon, which, cap, known_d, known_odm = args
+    g = parse("graph6", canon)
     out = {"canon": canon, "dprime": known_d, "od_minus": known_odm}
     if not is_connected(g):
         out["result"] = _skip("disconnected")
@@ -550,10 +551,10 @@ def scan_conjectures(corpus: Corpus, which="both", *,
     cache = _load_cache(cache_path) if cache_path else {}
 
     tasks = []
-    for label in corpus.labels:
-        canon = encode_graph6(parse("graph6", label))
+    for g in corpus.entries:
+        canon = encode_graph6(g)
         row = cache.get(canon, {})
-        tasks.append((label, which, edge_cap,
+        tasks.append((canon, which, edge_cap,
                       row.get("dprime"), row.get("od_minus")))
     outs = _run_tasks(_scan_worker, tasks, jobs)
 

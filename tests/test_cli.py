@@ -82,6 +82,17 @@ class TestInputForms:
         err = capsys.readouterr().err
         assert err.startswith("error:")
 
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        import disorient.cli as cli
+
+        def boom(x):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "dprime", boom)
+        assert main(["dprime", K3]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "internal error: RuntimeError: boom"
+
 
 class TestAut:
     def test_triangle(self, capsys):
@@ -219,6 +230,12 @@ class TestVerifyCommand:
     def test_missing_corpus(self, capsys, tmp_path):
         assert main(["verify", "--corpus", str(tmp_path / "nope"),
                      "--theorem", "cor6"]) == 2
+
+    def test_bad_corpus_line_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "c.g6"
+        f.write_text(f"{K3}\n{P3_G6}\n~~~\n")
+        assert main(["verify", "--corpus", str(f), "--theorem", "cor6"]) == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_violation_exits_1(self, capsys, tmp_path, monkeypatch):
         import disorient.cli as cli

@@ -1,5 +1,7 @@
 """Automorphism groups, arc permutations and the twisted test."""
 
+from math import factorial
+
 import pytest
 
 import oracles
@@ -13,6 +15,7 @@ from disorient import (
     Permutation,
     arc_permutation,
     arcs_of,
+    automorphism_generators,
     automorphism_group,
     complete_graph,
     connected_graphs,
@@ -73,6 +76,22 @@ class TestAutomorphismGroup:
                 assert got == sorted(oracles.brute_automorphism_images(g)), \
                     encode_graph6(g)
 
+    def test_generators_match_permutation_filter(self):
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                gens, order = automorphism_generators(g)
+                assert order == len(oracles.brute_automorphism_images(g)), \
+                    encode_graph6(g)
+                assert all(is_automorphism(g, p) for p in gens)
+
+    def test_generator_orders_past_element_cap(self):
+        for g, order in [(star_graph(9), factorial(9)),
+                         (complete_graph(8), factorial(8)),
+                         (cycle_graph(10), 20)]:
+            gens, got = automorphism_generators(g)
+            assert got == order
+            assert all(is_automorphism(g, p) for p in gens)
+
     def test_orientation_groups_inside_base_group(self):
         g = cycle_graph(4)
         base = automorphism_group(g).image_set
@@ -81,6 +100,9 @@ class TestAutomorphismGroup:
             got = sorted(p.image for p in automorphism_group(o).elements)
             assert got == sorted(oracles.brute_automorphism_images(o))
             assert set(got) <= base
+            gens, order = automorphism_generators(o)
+            assert order == len(got)
+            assert all(is_automorphism(o, p) for p in gens)
 
     def test_group_axioms(self):
         group = automorphism_group(star_graph(3))

@@ -69,6 +69,15 @@ class TestEnumerate:
             for v in vecs:
                 assert v == min(_orbit_of(g, v))
 
+    def test_star_past_element_cap(self):
+        # |Aut| = 9!; an orbit is fixed by the out-degree of the centre,
+        # and its least vector reverses the first k edges
+        g = star_graph(9)
+        reps = enumerate_orientations(g)
+        assert [o.vector for o in reps] == [(1 << k) - 1 for k in range(10)]
+        outdeg = [sum(1 for t, _ in o.arcs if t == 0) for o in reps]
+        assert sorted(outdeg) == list(range(10))
+
     def test_orbits_cover_everything(self):
         g = cycle_graph(4)
         covered = set()
@@ -99,6 +108,10 @@ class TestExtremes:
     def test_k14(self):
         assert od_extremes(star_graph(4)).od_minus == 2
         assert od_extremes(star_graph(4)).od_plus == 4
+
+    def test_k19_past_element_cap(self):
+        r = od_extremes(star_graph(9))
+        assert (r.od_minus, r.od_plus) == (5, 9)
 
     def test_witnesses(self):
         for g in [star_graph(3), cycle_graph(4), path_graph(5)]:

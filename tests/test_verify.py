@@ -8,6 +8,7 @@ from disorient import (
     CLAIMS,
     THEOREM_IDS,
     Corpus,
+    FormatError,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -48,6 +49,10 @@ class TestCorpus:
         c = Corpus.from_file(p)
         assert c.labels == ("Bw", "Cr")
         assert c.duplicates == ()
+
+    def test_bad_line_located(self):
+        with pytest.raises(FormatError, match="line 3"):
+            Corpus.from_lines(["Bw", "Cr", "~~~"])
 
     def test_from_graphs(self):
         c = _corpus(path_graph(3), complete_graph(3))
