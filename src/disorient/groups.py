@@ -131,8 +131,9 @@ class AutGroup:
 
 def automorphisms(x: Graph | Orientation, *, cap: int | None = None) -> Iterator[Permutation]:
     """Automorphisms in lexicographic image order, the identity first."""
+    codes = codes_for(x)
     count = 0
-    for img in find_maps(codes_for(x), codes_for(x)):
+    for img in find_maps(codes, codes):
         count += 1
         if cap is not None and count > cap:
             raise GroupSizeError(cap)
@@ -225,11 +226,16 @@ def is_twisted(g: Graph, p: Permutation) -> bool:
     return any(cycle_id[2 * i] == cycle_id[2 * i + 1] for i in range(g.m))
 
 
-def fixed_set_status(group: AutGroup, s: Iterable[int]) -> str:
-    """How a vertex set sits under a group: pointwise, setwise_only, not_fixed."""
+def fixed_set_status(perms: Iterable[Permutation], s: Iterable[int]) -> str:
+    """How a vertex set sits under a group: pointwise, setwise_only, not_fixed.
+
+    perms may be the whole group or any generating set of it: the
+    setwise and the pointwise stabiliser of a set are subgroups, so the
+    group fixes the set in either sense exactly when every generator does.
+    """
     sset = frozenset(s)
     pointwise = True
-    for p in group:
+    for p in perms:
         img = {p.image[v] for v in sset}
         if img != sset:
             return NOT_FIXED

@@ -6,15 +6,17 @@ structures.  Adjacency, arc direction and colour are folded into one small
 integer per ordered vertex pair (an n-by-n code matrix); a valid map phi
 must satisfy dst[phi(u)][phi(v)] == src[u][v] for all pairs.
 
-Candidate images are pruned by iterated neighbourhood-multiset refinement.
-The refinement is a pure filter: correctness never depends on it.  Maps are
-yielded in lexicographic order of their image tuple, so the identity is
-always the first automorphism produced.
+Candidate images are pruned by iterated neighbourhood-multiset refinement
+over sparse rows: each vertex keeps only its nonzero (neighbour, code)
+pairs, so a round costs the number of arcs rather than n squared.  When
+both sides are one matrix (automorphisms, rigidity and stabiliser tests)
+the refinement runs on that side alone.  It is a pure filter: correctness
+never depends on it.  Maps are yielded in lexicographic order of their
+image tuple, so the identity is always the first automorphism produced.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterator
 
 from .graphs import Graph, Orientation
@@ -47,31 +49,40 @@ def codes_for(x: Graph | Orientation, colours=None) -> list[list[int]]:
     return graph_codes(x, colours)
 
 
+def _sparse_rows(codes: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """Each vertex's nonzero (neighbour, code) pairs."""
+    return [[(u, c) for u, c in enumerate(row) if c and u != v]
+            for v, row in enumerate(codes)]
+
+
+def _signatures(rows, label: list[int]) -> list[tuple]:
+    return [(label[v], tuple(sorted([(label[u], c) for u, c in row])))
+            for v, row in enumerate(rows)]
+
+
 def _refine(src: list[list[int]], dst: list[list[int]]):
-    """Stable joint vertex labelling; None when label multisets diverge."""
+    """Stable joint vertex labelling; None when label multisets diverge.
+
+    A vertex's signature is its label and the sorted (label, code) pairs
+    of its nonzero codes.  The zero codes need not be counted: the label
+    multisets of both sides agree after every round, so the class sizes
+    imply them.  When src is dst one side is computed and serves as both.
+    """
     n = len(src)
-    lab_s = [0] * n
-    lab_d = [0] * n
+    rows_s = _sparse_rows(src)
+    rows_d = rows_s if dst is src else _sparse_rows(dst)
+    lab_s = lab_d = [0] * n
     classes = 1
     while True:
         table: dict[tuple, int] = {}
-        new_s = []
-        for v in range(n):
-            row = src[v]
-            sig = (lab_s[v], tuple(sorted(Counter(
-                (lab_s[u], row[u]) for u in range(n) if u != v).items())))
-            new_s.append(table.setdefault(sig, len(table)))
-        new_d = []
-        for v in range(n):
-            row = dst[v]
-            sig = (lab_d[v], tuple(sorted(Counter(
-                (lab_d[u], row[u]) for u in range(n) if u != v).items())))
-            code = table.get(sig)
-            if code is None:
+        new_s = [table.setdefault(sig, len(table))
+                 for sig in _signatures(rows_s, lab_s)]
+        if dst is src:
+            new_d = new_s
+        else:
+            new_d = [table.get(sig) for sig in _signatures(rows_d, lab_d)]
+            if None in new_d or sorted(new_s) != sorted(new_d):
                 return None
-            new_d.append(code)
-        if sorted(new_s) != sorted(new_d):
-            return None
         lab_s, lab_d = new_s, new_d
         if len(table) == classes or len(table) == n:
             return lab_s, lab_d
@@ -79,12 +90,12 @@ def _refine(src: list[list[int]], dst: list[list[int]]):
 
 
 def find_maps(src: list[list[int]], dst: list[list[int]], *,
-              fixed=(), allowed=None) -> Iterator[tuple[int, ...]]:
+              fixed=()) -> Iterator[tuple[int, ...]]:
     """Yield every bijection phi with dst[phi(u)][phi(v)] == src[u][v].
 
-    fixed is a sequence of (v, w) pairs pinning phi(v) = w; allowed is an
-    optional dict v -> iterable restricting the images of v.  Maps come out
-    in lexicographic order of the image tuple.
+    fixed is a sequence of (v, w) pairs pinning phi(v) = w.  Maps come out
+    in lexicographic order of the image tuple.  Pass one matrix as both
+    arguments for symmetries: refinement then runs on one side only.
     """
     n = len(src)
     if len(dst) != n:
@@ -101,10 +112,6 @@ def find_maps(src: list[list[int]], dst: list[list[int]], *,
         cand.append(list(by_label.get(lab_s[v], ())))
     for v, w in fixed:
         cand[v] = [w] if w in cand[v] else []
-    if allowed:
-        for v, ws in allowed.items():
-            keep = set(ws)
-            cand[v] = [w for w in cand[v] if w in keep]
     for v in range(n):
         if not cand[v]:
             return

@@ -39,6 +39,26 @@ def edge_perm_of(g: Graph, img) -> tuple[int, ...]:
     return tuple(g.index_of(img[u], img[v]) for u, v in g.edges)
 
 
+def brute_colour_preserving_images(x, colours) -> list[tuple[int, ...]]:
+    """Automorphisms sending every edge to an edge of the same colour."""
+    g = x.base if isinstance(x, Orientation) else x
+    out = []
+    for img in brute_automorphism_images(x):
+        ep = edge_perm_of(g, img)
+        if all(colours[ep[i]] == colours[i] for i in range(g.m)):
+            out.append(img)
+    return out
+
+
+def brute_isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether some vertex permutation carries g's edge set onto h's."""
+    if (g.n, g.m) != (h.n, h.m):
+        return False
+    target = {frozenset(e) for e in h.edges}
+    return any(all(frozenset((img[u], img[v])) in target for u, v in g.edges)
+               for img in permutations(range(g.n)))
+
+
 def brute_dprime(x, max_width: int | None = None) -> int:
     """Least colouring width preserved by no non-trivial automorphism."""
     g = x.base if isinstance(x, Orientation) else x

@@ -186,6 +186,21 @@ class TestFixedSetStatus:
         group = automorphism_group(cycle_graph(4))
         assert fixed_set_status(group, {0}) == NOT_FIXED
 
+    def test_generators_suffice(self):
+        gens, _ = automorphism_generators(star_graph(3))
+        assert fixed_set_status(gens, {0}) == POINTWISE
+        assert fixed_set_status(gens, {1, 2, 3}) == SETWISE_ONLY
+        assert fixed_set_status(gens, {0, 1}) == NOT_FIXED
+        assert fixed_set_status((), {0, 1}) == POINTWISE
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                gens, _ = automorphism_generators(g)
+                group = automorphism_group(g)
+                for mask in range(1 << n):
+                    s = {v for v in range(n) if mask >> v & 1}
+                    assert fixed_set_status(gens, s) == \
+                        fixed_set_status(group, s), (encode_graph6(g), s)
+
 
 class TestFindMaps:
     def test_counts_match_group_order(self):

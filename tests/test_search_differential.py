@@ -1,0 +1,113 @@
+"""Property-based differential tests of the search kernel against the oracles.
+
+Random graphs on at most six vertices, each with a random orientation or
+edge colouring, are checked against brute-force permutation filters:
+the maps find_maps yields, in order, with and without a pinned vertex,
+and from the one-sided refinement (one matrix as both arguments) and
+the two-sided one (an equal copy as the second).  Runs are derandomised
+so every run draws the same examples.
+"""
+
+from itertools import combinations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from disorient import Graph, Orientation, are_isomorphic, cycle_graph
+from disorient.search import codes_for, find_maps
+
+MAX_N = 6
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150)
+
+
+@st.composite
+def graphs(draw, min_n=1):
+    n = draw(st.integers(min_n, MAX_N))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+
+
+@st.composite
+def structures(draw):
+    """(structure, colours): a graph or orientation, colours None or per edge."""
+    g = draw(graphs())
+    x = g
+    if draw(st.booleans()):
+        x = Orientation.from_vector(g, draw(st.integers(0, (1 << g.m) - 1)))
+    colours = None
+    if draw(st.booleans()):
+        colours = tuple(draw(st.lists(st.integers(1, 3), min_size=g.m,
+                                      max_size=g.m)))
+    return x, colours
+
+
+@st.composite
+def switched_pairs(draw):
+    """A graph and a 2-switch of it: ab, cd -> ad, cb, same degrees."""
+    g = draw(graphs(min_n=4))
+    h = g
+    switches = [(e, f) for e, f in combinations(g.edges, 2)
+                if len(set(e + f)) == 4]
+    if switches:
+        e, f = draw(st.sampled_from(switches))
+        (a, b), (c, d) = e, f[::-1] if draw(st.booleans()) else f
+        if not g.has_edge(a, d) and not g.has_edge(c, b):
+            rest = [x for x in g.edges if x not in (e, f)]
+            h = Graph.from_edges(g.n, rest + [(a, d), (c, b)])
+    return g, h
+
+
+def _expected(x, colours):
+    if colours is None:
+        return oracles.brute_automorphism_images(x)
+    return oracles.brute_colour_preserving_images(x, colours)
+
+
+@SETTINGS
+@given(structures())
+def test_maps_match_oracle_in_order(case):
+    x, colours = case
+    codes = codes_for(x, colours)
+    assert list(find_maps(codes, codes)) == _expected(x, colours)
+
+
+@SETTINGS
+@given(structures(), st.data())
+def test_pinned_maps_match_oracle(case, data):
+    x, colours = case
+    n = len(codes_for(x))
+    v = data.draw(st.integers(0, n - 1))
+    w = data.draw(st.integers(0, n - 1))
+    codes = codes_for(x, colours)
+    want = [img for img in _expected(x, colours) if img[v] == w]
+    assert list(find_maps(codes, codes, fixed=((v, w),))) == want
+
+
+@SETTINGS
+@given(structures())
+def test_one_sided_refinement_matches_two_sided(case):
+    x, colours = case
+    codes = codes_for(x, colours)
+    copy = [row[:] for row in codes]
+    assert list(find_maps(codes, copy)) == list(find_maps(codes, codes))
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_relabelled_graph_is_isomorphic(g, data):
+    p = data.draw(st.permutations(range(g.n)))
+    assert are_isomorphic(g, g.relabel(p))
+
+
+@SETTINGS
+@given(switched_pairs())
+@example((cycle_graph(6),
+          Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])))
+def test_isomorphism_matches_oracle_on_equal_degrees(pair):
+    g, h = pair
+    assert sorted(g.degree(v) for v in range(g.n)) == \
+        sorted(h.degree(v) for v in range(h.n))
+    assert are_isomorphic(g, h) == oracles.brute_isomorphic(g, h)

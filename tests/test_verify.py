@@ -68,9 +68,11 @@ class TestVerifyTheorem:
         assert set(CLAIMS) == set(THEOREM_IDS)
 
     def test_cor3_pass_and_skips(self):
+        # star_graph(10) has 10! automorphisms, past the element cap
         r = verify_theorem(
-            _corpus(star_graph(3), cycle_graph(4), complete_graph(3)), "cor3")
-        assert (r.total, r.passed) == (3, 1)
+            _corpus(star_graph(3), cycle_graph(4), complete_graph(3),
+                    star_graph(10)), "cor3")
+        assert (r.total, r.passed) == (4, 2)
         assert r.ok
         reasons = {s.reason for s in r.skipped}
         assert "class-swapping automorphism present" in reasons
