@@ -13,16 +13,23 @@ under the actions of a strong generating set of the group.  It is
 walked only when the sweep gets to it, so a sweep that stops early
 never pays for the orbits it skips.  Sweeps refuse to start above a
 configurable edge cap rather than silently take exponential time.
+
+Aut(o) is the stabiliser of o's direction vector in Aut(g), so
+|Aut(o)| = |Aut(g)| / |orbit| and the sweeps decide two kinds of
+representative with no colouring search.  An orbit of size |Aut(g)| is
+rigid: index 1, constant colouring.  An orbit of size 1 has
+Aut(o) = Aut(g) and takes the graph's own result, witness included,
+since the candidate order and the twin cliques are the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .distinguishing import Colouring, dprime
+from .distinguishing import Colouring, DprimeResult, dprime
 from .graphs import Graph, Orientation, is_connected
-from .groups import automorphism_generators, edge_action, is_rigid
+from .groups import automorphism_generators, edge_action
 
 DEFAULT_EDGE_CAP = 20
 
@@ -73,24 +80,25 @@ def _action_tables(m: int, actions):
     return lo_bits, tables
 
 
-def _orbit_reps(g: Graph, edge_cap: int) -> Iterator[int]:
-    """The least direction vector of each orbit under Aut(g), ascending.
+def _orbit_reps(g: Graph, edge_cap: int) -> Iterator[tuple[int, int, int]]:
+    """(least vector, orbit size, |Aut(g)|) of each orbit under Aut(g).
 
-    Each orbit is closed over the generators' actions only after its
-    representative has been handed out.
+    Vectors come in ascending order.  Each orbit is closed over the
+    generators' actions when the walk reaches its least vector, before
+    that vector is handed out.
     """
     if g.m > edge_cap:
         raise EdgeCapError(g.m, edge_cap)
-    gens, _ = automorphism_generators(g)
+    gens, order = automorphism_generators(g)
     lo_bits, tables = _action_tables(g.m, [edge_action(g, p) for p in gens])
     mask = (1 << lo_bits) - 1
     seen = bytearray(1 << g.m)
     for v in range(1 << g.m):
         if seen[v]:
             continue
-        yield v
         seen[v] = 1
         stack = [v]
+        size = 1
         while stack:
             u = stack.pop()
             for lo, hi in tables:
@@ -98,6 +106,8 @@ def _orbit_reps(g: Graph, edge_cap: int) -> Iterator[int]:
                 if not seen[w]:
                     seen[w] = 1
                     stack.append(w)
+                    size += 1
+        yield v, size, order
 
 
 def enumerate_orientations(g: Graph, *, up_to_symmetry: bool = True,
@@ -110,7 +120,7 @@ def enumerate_orientations(g: Graph, *, up_to_symmetry: bool = True,
         if g.m > edge_cap:
             raise EdgeCapError(g.m, edge_cap)
         return [Orientation.from_vector(g, v) for v in range(1 << g.m)]
-    return [Orientation.from_vector(g, v) for v in _orbit_reps(g, edge_cap)]
+    return [Orientation.from_vector(g, v) for v, _, _ in _orbit_reps(g, edge_cap)]
 
 
 def _require_connected(g: Graph) -> None:
@@ -118,27 +128,34 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("orientation sweeps require a connected graph")
 
 
-def _index_bound(g: Graph) -> int:
-    """The index no orientation exceeds: the graph's own, or 1 for an edge."""
-    return dprime(g).value if g.n != 2 and g.m > 0 else 1
-
-
-def _sweep(g: Graph, edge_cap: int, stop: Callable[[int, int], bool]):
+def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True):
     """Least and greatest index over orbit representatives, with witnesses.
 
     Returns two (value, orientation, colouring) triples; each keeps the
-    first representative attaining its extreme.  The walk ends early
-    once stop(least, greatest) holds.
+    first representative attaining its extreme.  The walk ends once each
+    extreme asked for is reached: 1 for the least, and for the greatest
+    D'(g), which no orientation exceeds (1 for a single edge).  Only
+    representatives whose orbit size is neither |Aut(g)| nor 1 are
+    searched.  The rigid case is tested first, which covers a rigid
+    graph, the single edge and m = 0; D'(g) is computed at most once.
     """
+    own = dprime(g) if greatest and g.n != 2 else None
+    bound = own.value if own else 1
     lo = hi = None
-    for v in _orbit_reps(g, edge_cap):
+    for v, size, order in _orbit_reps(g, edge_cap):
         o = Orientation.from_vector(g, v)
-        r = dprime(o)
+        if size == order:
+            r = DprimeResult(1, Colouring.constant(g.m))
+        elif size == 1:
+            own = own or dprime(g)
+            r = own
+        else:
+            r = dprime(o)
         if lo is None or r.value < lo[0]:
             lo = (r.value, o, r.witness)
         if hi is None or r.value > hi[0]:
             hi = (r.value, o, r.witness)
-        if stop(lo[0], hi[0]):
+        if (not least or lo[0] == 1) and (not greatest or hi[0] == bound):
             break
     assert lo is not None and hi is not None
     return lo, hi
@@ -147,21 +164,19 @@ def _sweep(g: Graph, edge_cap: int, stop: Callable[[int, int], bool]):
 def od_minus(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, Orientation, Colouring]:
     """Least distinguishing index over all orientations, with witnesses."""
     _require_connected(g)
-    return _sweep(g, edge_cap, lambda lo, hi: lo == 1)[0]
+    return _sweep(g, edge_cap, greatest=False)[0]
 
 
 def od_plus(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, Orientation, Colouring]:
     """Greatest distinguishing index over all orientations, with witnesses."""
     _require_connected(g)
-    bound = _index_bound(g)
-    return _sweep(g, edge_cap, lambda lo, hi: hi == bound)[1]
+    return _sweep(g, edge_cap, least=False)[1]
 
 
 def od_extremes(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> ODResult:
     """Both extremes in one sweep."""
     _require_connected(g)
-    bound = _index_bound(g)
-    lo, hi = _sweep(g, edge_cap, lambda lo, hi: lo == 1 and hi == bound)
+    lo, hi = _sweep(g, edge_cap)
     return ODResult(od_minus=lo[0], od_plus=hi[0],
                     witness_min=lo[1], witness_max=hi[1],
                     colouring_min=lo[2], colouring_max=hi[2])
@@ -171,13 +186,13 @@ def find_rigid_orientation(g: Graph, *,
                            edge_cap: int = DEFAULT_EDGE_CAP) -> Orientation | None:
     """First orientation, in representative order, with a trivial group.
 
-    Returns None when every orientation keeps some symmetry, which by
-    the sweep's exactness means the minimum index over orientations
-    exceeds 1.
+    That is the first representative whose orbit has |Aut(g)| elements;
+    no colouring or stabiliser search is made.  Returns None when every
+    orientation keeps some symmetry, which by the sweep's exactness
+    means the minimum index over orientations exceeds 1.
     """
     _require_connected(g)
-    for v in _orbit_reps(g, edge_cap):
-        o = Orientation.from_vector(g, v)
-        if is_rigid(o):
-            return o
+    for v, size, order in _orbit_reps(g, edge_cap):
+        if size == order:
+            return Orientation.from_vector(g, v)
     return None

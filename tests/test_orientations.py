@@ -20,7 +20,9 @@ from disorient import (
     od_plus,
     path_graph,
     star_graph,
+    trees,
 )
+from disorient.orientations import _orbit_reps
 
 
 def _orbit_of(g, vec):
@@ -35,6 +37,24 @@ def _orbit_of(g, vec):
             w |= bit << ep[i]
         out.add(w)
     return out
+
+
+def _reference_sweep(g):
+    """First least, first greatest and first rigid representative.
+
+    Calls dprime on every representative, with no early stop and no
+    decision by orbit size.
+    """
+    lo = hi = rigid = None
+    for o in enumerate_orientations(g):
+        r = dprime(o)
+        if lo is None or r.value < lo[0]:
+            lo = (r.value, o.vector, r.witness)
+        if hi is None or r.value > hi[0]:
+            hi = (r.value, o.vector, r.witness)
+        if rigid is None and r.value == 1:
+            rigid = o.vector
+    return lo, hi, rigid
 
 
 class TestEnumerate:
@@ -89,6 +109,19 @@ class TestEnumerate:
         with pytest.raises(EdgeCapError):
             enumerate_orientations(cycle_graph(4), edge_cap=3)
 
+    def test_orbit_size_times_stabiliser_is_group_order(self):
+        # the sweeps decide rigid and fully fixed orientations from these
+        # sizes, so check orbit-stabiliser against brute-force groups
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                whole = len(oracles.brute_automorphism_images(g))
+                for v, size, order in _orbit_reps(g, 20):
+                    o = Orientation.from_vector(g, v)
+                    assert order == whole, encode_graph6(g)
+                    assert size == len(_orbit_of(g, v)), (encode_graph6(g), v)
+                    stab = len(oracles.brute_automorphism_images(o))
+                    assert size * stab == whole, (encode_graph6(g), v)
+
 
 class TestExtremes:
     def test_p4(self):
@@ -139,6 +172,23 @@ class TestExtremes:
         for n in range(3, 6):
             for g in connected_graphs(n):
                 assert od_extremes(g).od_plus <= dprime(g).value, encode_graph6(g)
+
+    def test_vs_reference_loop(self):
+        # connected graphs on at most 6 vertices, then trees on 7 to 9
+        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+        graphs += [t for n in range(7, 10) for t in trees(n)]
+        for g in graphs:
+            lo, hi, rigid = _reference_sweep(g)
+            r = od_extremes(g)
+            label = encode_graph6(g)
+            assert (r.od_minus, r.witness_min.vector, r.colouring_min) == lo, label
+            assert (r.od_plus, r.witness_max.vector, r.colouring_max) == hi, label
+            v, o, c = od_minus(g)
+            assert (v, o.vector, c) == lo, label
+            v, o, c = od_plus(g)
+            assert (v, o.vector, c) == hi, label
+            o = find_rigid_orientation(g)
+            assert (None if o is None else o.vector) == rigid, label
 
     def test_disconnected_rejected(self):
         from disorient import parse

@@ -78,6 +78,14 @@ class TestVerifyTheorem:
         assert "class-swapping automorphism present" in reasons
         assert "not bipartite" in reasons
 
+    def test_obs1_pass_past_element_cap(self):
+        # star_graph(10) has 10! automorphisms, past the element cap
+        r = verify_theorem(
+            _corpus(path_graph(2), star_graph(3), cycle_graph(4),
+                    complete_graph(4), star_graph(10)), "obs1")
+        assert (r.total, r.passed) == (5, 5)
+        assert r.ok
+
     def test_thm8_skips_non_traceable(self):
         r = verify_theorem(_corpus(path_graph(4), star_graph(3)), "thm8")
         assert (r.passed, len(r.skipped)) == (1, 1)
