@@ -6,9 +6,10 @@ help: arcs carry direction information for free.
 """
 
 from disorient import (Colouring, Orientation, Permutation, RootedTree,
-                       breaks, colour_preserving_automorphism, complete_graph,
+                       colour_preserving_automorphism, complete_graph,
                        count_optimal_rooted_colourings, cycle_graph, dprime,
-                       dprime_at_most, dprime_rooted, path_graph, star_graph)
+                       dprime_at_most, path_graph, preserves, rooted_index,
+                       star_graph)
 
 k3 = complete_graph(3)
 res = dprime(k3)
@@ -31,14 +32,15 @@ print("path index:", dprime(p4).value)
 one_way = Orientation.from_vector(p4, 0)
 print("one-way path index:", dprime(one_way).value)
 
-# rooted trees: colour the edges so only the identity fixes the root
+# rooted trees: colour the edges so only the identity fixes the root;
+# the index and the colourings are counted over the tree's shapes
 star = star_graph(3)
 rt = RootedTree(star, 0)
-print("star rooted at its centre:", dprime_rooted(rt).value)
+print("star rooted at its centre:", rooted_index(rt))
 print("  optimal colourings up to symmetry:",
       count_optimal_rooted_colourings(rt))
 
 c = Colouring(2, (1, 2))
 rev = Permutation((2, 1, 0))
 print("width-2 colouring of a path breaks the reversal:",
-      breaks(path_graph(3), c, rev))
+      not preserves(path_graph(3), c, rev))

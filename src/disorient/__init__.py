@@ -20,16 +20,16 @@ from .constructions import (CENTRAL_EDGE_FIXED, CENTRAL_EDGE_SWAPPED,
                             layered_orientation, merge_colouring,
                             natural_bipartition, split_colouring, tree_case,
                             tree_od_values)
-from .distinguishing import (Colouring, DprimeResult, RootedTree, breaks,
+from .distinguishing import (Colouring, DprimeResult, RootedTree,
                              colour_preserving_automorphism,
-                             count_optimal_rooted_colourings,
-                             distinguishing_assignments, dprime,
-                             dprime_at_most, dprime_rooted, is_distinguishing,
-                             preserves)
+                             count_optimal_rooted_colourings, dprime,
+                             dprime_at_most, is_distinguishing, preserves,
+                             rooted_index)
 from .graphs import (CenterInfo, FormatError, Graph, Orientation,
                      StructureReport, analyze, bipartition, encode_digraph6,
                      encode_graph6, hamiltonian_path, is_claw_free,
-                     is_connected, is_tree, longest_cycle, parse, tree_center)
+                     is_connected, is_tree, longest_cycle, parse,
+                     rooted_shapes, tree_center)
 from .groups import (DEFAULT_GROUP_CAP, NOT_FIXED, POINTWISE, SETWISE_ONLY,
                      AutGroup, GroupSizeError, Permutation, arc_permutation,
                      arcs_of, automorphism_generators, automorphism_group,

@@ -6,6 +6,10 @@ lexicographically least choice everywhere), so repeated runs produce
 identical orientations.  Constructions whose correctness rests on a
 claimed invariant verify that invariant at the end and raise
 ConstructionError with a diagnostic rather than return a bad result.
+
+The tree case analysis counts rather than searches: the central-edge
+swap is an equality of AHU shape codes, and every index it needs is a
+rooted index counted over the tree's shape classes.
 """
 
 from __future__ import annotations
@@ -14,13 +18,12 @@ from dataclasses import dataclass
 from math import ceil
 
 from .distinguishing import (Colouring, RootedTree,
-                             count_optimal_rooted_colourings, dprime)
+                             count_optimal_rooted_colourings, rooted_index)
 from .graphs import (CenterInfo, Graph, Orientation, bipartition,
                      hamiltonian_path, is_claw_free, is_connected, is_tree,
-                     longest_cycle, tree_center)
+                     longest_cycle, rooted_shapes, tree_center)
 from .groups import (Permutation, arc_permutation, arcs_of, is_automorphism,
                      is_rigid, is_twisted, nontrivial_automorphism)
-from .search import codes_for, find_maps
 
 CENTRAL_VERTEX = "central_vertex"
 CENTRAL_EDGE_FIXED = "central_edge_fixed"
@@ -553,9 +556,8 @@ def tree_case(t: Graph) -> TreeCase:
     if center.kind == "vertex":
         return TreeCase(CENTRAL_VERTEX, center)
     a, b = center.vertices
-    codes = codes_for(t)
-    swap = next(iter(find_maps(codes, codes, fixed=((a, b), (b, a)))), None)
-    if swap is None:
+    # an automorphism swaps a and b exactly when their halves have one shape
+    if rooted_shapes(t, a)[b] != rooted_shapes(t, b)[a]:
         return TreeCase(CENTRAL_EDGE_FIXED, center)
     half = _component_rooted(t, a, avoid_edge=(a, b))
     unique = count_optimal_rooted_colourings(half) == 1
@@ -586,7 +588,22 @@ def tree_od_values(t: Graph) -> tuple[int, int, TreeCase]:
     half colouring lowers both by replacing D with D-1.
     """
     case = tree_case(t)
-    d = dprime(t).value
+    d = _tree_dprime(t, case)
     if case.kind == CENTRAL_EDGE_SWAPPED and case.unique_optimal:
         return ceil((d - 1) / 2), d - 1, case
     return ceil(d / 2), d, case
+
+
+def _tree_dprime(t: Graph, case: TreeCase) -> int:
+    """The tree's distinguishing index D, counted from its case.
+
+    When no automorphism moves the first centre vertex, D is the rooted
+    index there.  A swapped central edge is broken exactly when the two
+    halves get inequivalent colourings, so D is the least width with at
+    least two classes for the half: its rooted index r when the optimal
+    class is not unique, else r + 1, since one more colour always adds a
+    class.
+    """
+    if case.kind != CENTRAL_EDGE_SWAPPED:
+        return rooted_index(RootedTree(t, case.center.vertices[0]))
+    return rooted_index(case.rooted_half) + case.unique_optimal

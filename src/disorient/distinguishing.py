@@ -13,16 +13,20 @@ backtracking stabiliser test.  Two pruning devices keep star-like
 inputs cheap: interchangeable pendant edges at a shared support must
 receive pairwise distinct colours, and automorphisms that defeated
 earlier candidates are replayed as quick filters before the full test.
+
+Rooted trees are counted, not searched: the distinguishing colourings
+of a rooted tree, up to root-preserving automorphisms, have a closed-form
+count over the shape classes of each vertex's children.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from math import comb, prod
 from typing import Iterator
 
-from .graphs import Graph, Orientation, is_connected, is_tree
+from .graphs import Graph, Orientation, is_connected, is_tree, rooted_shapes
 from .groups import Permutation
 from .search import codes_for, nontrivial_map
 
@@ -71,54 +75,6 @@ class RootedTree:
             raise ValueError("underlying graph is not a tree")
         if not 0 <= self.root < self.tree.n:
             raise ValueError("root out of range")
-
-    @cached_property
-    def parent(self) -> tuple[int, ...]:
-        """Parent of each vertex; the root is its own parent."""
-        par = [-1] * self.tree.n
-        par[self.root] = self.root
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for w in self.tree.adj[v]:
-                if par[w] == -1:
-                    par[w] = v
-                    stack.append(w)
-        return tuple(par)
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        kids = [[] for _ in range(self.tree.n)]
-        for v, p in enumerate(self.parent):
-            if v != self.root:
-                kids[p].append(v)
-        return tuple(tuple(sorted(k)) for k in kids)
-
-    def encoding(self, colouring: Colouring):
-        """Canonical form of the coloured rooted tree.
-
-        Two colourings get equal encodings exactly when some
-        root-preserving automorphism carries one to the other with
-        colour values kept as they are.
-        """
-        if len(colouring.assignment) != self.tree.m:
-            raise ValueError("colouring length does not match the edge count")
-
-        def enc(v: int):
-            return tuple(sorted(
-                (colouring.assignment[self.tree.index_of(v, w)], enc(w))
-                for w in self.children[v]))
-
-        return enc(self.root)
-
-
-def breaks(x: Graph | Orientation, colouring: Colouring, p: Permutation) -> bool:
-    """Whether some edge of x gets a colour different from its image under p.
-
-    The complement of preserves for automorphisms; a map that is not an
-    automorphism at all counts as broken.
-    """
-    return not preserves(x, colouring, p)
 
 
 def preserves(x: Graph | Orientation, colouring: Colouring, p: Permutation) -> bool:
@@ -175,62 +131,49 @@ def dprime_at_most(x: Graph | Orientation, k: int) -> DprimeResult | None:
     return _dprime_search(x, max_width=k)
 
 
-def dprime_rooted(rt: RootedTree) -> DprimeResult:
+def rooted_index(rt: RootedTree) -> int:
     """Least width breaking every non-trivial root-preserving automorphism."""
-    result = _dprime_search(rt.tree, root=rt.root)
-    assert result is not None
-    return result
-
-
-def distinguishing_assignments(rt: RootedTree, width: int) -> Iterator[Colouring]:
-    """All root-distinguishing colourings drawn from colours 1..width.
-
-    Unlike the index search this keeps literal colour values: colourings
-    differing only by renaming are yielded separately.
-    """
-    m = rt.tree.m
-    fixed = ((rt.root, rt.root),)
-    for assignment in product(range(1, width + 1), repeat=m):
-        if nontrivial_map(codes_for(rt.tree, colours=assignment), fixed=fixed) is None:
-            yield Colouring(width, assignment)
+    shape = rooted_shapes(rt.tree, rt.root)[rt.root]
+    k = 1
+    while _rooted_count(shape, k) == 0:
+        k += 1
+    return k
 
 
 def count_optimal_rooted_colourings(rt: RootedTree, width: int | None = None) -> int:
     """Number of inequivalent distinguishing colourings at optimal width.
 
     Colourings are identified when a root-preserving automorphism maps
-    one onto the other keeping colour values, so the count is the number
-    of distinct canonical encodings.  A rooted-tree colouring breaks
-    every symmetry exactly when, at each vertex, the pairs (edge colour
-    to child, encoded child subtree) are pairwise distinct; the set of
-    reachable encodings is therefore built bottom up without touching
-    individual colourings.
+    one onto the other keeping colour values.  Another width may be
+    given; below the optimum the count is 0.
     """
     if width is None:
-        width = dprime_rooted(rt).value
+        width = rooted_index(rt)
+    return _rooted_count(rooted_shapes(rt.tree, rt.root)[rt.root], width)
 
-    def encodings(v: int) -> frozenset:
-        kids = rt.children[v]
-        if not kids:
-            return frozenset({()})
-        menus = [
-            tuple((c, e) for c in range(1, width + 1) for e in encodings(w))
-            for w in kids
-        ]
-        out: set[tuple] = set()
 
-        def assemble(i: int, chosen: tuple) -> None:
-            if i == len(menus):
-                out.add(tuple(sorted(chosen)))
-                return
-            for pair in menus[i]:
-                if pair not in chosen:
-                    assemble(i + 1, chosen + (pair,))
+def _rooted_count(shape: tuple, k: int) -> int:
+    """E_k of a rooted tree given by its AHU code.
 
-        assemble(0, ())
-        return frozenset(out)
-
-    return len(encodings(rt.root))
+    A colouring breaks every root-preserving automorphism exactly when,
+    at each vertex, the pairs (edge colour to a child, class of the
+    child's coloured subtree) are pairwise distinct.  Only children of
+    equal shape can clash, so E_k(v) is the product, over the shape
+    classes of v's children, of C(k * E_k(child), multiplicity), and a
+    leaf has E_k = 1.  Shapes are counted children first from an
+    explicit stack, so a deep tree costs no Python frame per level.
+    """
+    counts: dict[tuple, int] = {}
+    stack = [shape]
+    while stack:
+        s = stack[-1]
+        todo = [c for c in s if c not in counts]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        counts[s] = prod(comb(k * counts[c], r) for c, r in Counter(s).items())
+    return counts[shape]
 
 
 def _edge_perm(x: Graph | Orientation, image: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -250,21 +193,18 @@ def _edge_perm(x: Graph | Orientation, image: tuple[int, ...]) -> tuple[int, ...
     return tuple(g.index_of(image[u], image[v]) for u, v in g.edges)
 
 
-def _twin_cliques(x: Graph | Orientation, root: int | None = None) -> list[list[int]]:
+def _twin_cliques(x: Graph | Orientation) -> list[list[int]]:
     """Groups of pendant edges any two of which swap by an automorphism.
 
     Edges inside one group must get pairwise distinct colours in every
     distinguishing colouring.  For an orientation only pendant arcs with
-    matching direction are interchangeable, and when a root is pinned
-    its own pendant edge never joins a group.
+    matching direction are interchangeable.
     """
     g = x.base if isinstance(x, Orientation) else x
     buckets: dict[tuple, list[int]] = {}
     for i, (u, v) in enumerate(g.edges):
         leaf, support = (u, v) if g.degree(u) == 1 else (v, u)
-        if g.degree(leaf) != 1 or leaf == root:
-            continue
-        if g.n == 2:
+        if g.degree(leaf) != 1 or g.n == 2:
             continue
         if isinstance(x, Orientation):
             outward = x.forward[i] == ((u, v) == (support, leaf))
@@ -308,18 +248,17 @@ def _candidate_strings(m: int, k: int,
     yield from rec(0, 0)
 
 
-def _dprime_search(x: Graph | Orientation, *, root: int | None = None,
+def _dprime_search(x: Graph | Orientation, *,
                    max_width: int | None = None) -> DprimeResult | None:
     g = x.base if isinstance(x, Orientation) else x
     m = g.m
     if m == 0:
         return DprimeResult(1, Colouring(1, ()))
-    fixed = () if root is None else ((root, root),)
-    breaker = nontrivial_map(codes_for(x), fixed=fixed)
+    breaker = nontrivial_map(codes_for(x))
     if breaker is None:
         return DprimeResult(1, Colouring.constant(m))
 
-    cliques = _twin_cliques(x, root=root)
+    cliques = _twin_cliques(x)
     prior = _prior_twins(m, cliques)
     lower = max([2] + [len(c) for c in cliques])
     cache = [_edge_perm(x, breaker)]
@@ -329,7 +268,7 @@ def _dprime_search(x: Graph | Orientation, *, root: int | None = None,
             if any(all(assignment[ep[i]] == assignment[i] for i in range(m))
                    for ep in cache):
                 continue
-            img = nontrivial_map(codes_for(x, colours=assignment), fixed=fixed)
+            img = nontrivial_map(codes_for(x, colours=assignment))
             if img is None:
                 return DprimeResult(k, Colouring(k, assignment))
             if len(cache) < _BREAKER_CACHE_LIMIT:

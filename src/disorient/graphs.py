@@ -469,3 +469,29 @@ def tree_center(g: Graph) -> CenterInfo:
     if v not in g.adj[u]:
         raise AssertionError("two-vertex centre must be an edge")
     return CenterInfo("edge", (u, v))
+
+
+def rooted_shapes(t: Graph, root: int) -> tuple[tuple, ...]:
+    """AHU code of every vertex's subtree when the tree hangs from root.
+
+    A code is the sorted tuple of the children's codes, so a leaf's is ()
+    and two rooted subtrees are isomorphic exactly when their codes are
+    equal.
+    """
+    if not is_tree(t):
+        raise ValueError("rooted_shapes requires a tree")
+    parent = [-1] * t.n
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for w in t.adj[v]:
+            if parent[w] == -1:
+                parent[w] = v
+                order.append(w)
+    kids: list[list[tuple]] = [[] for _ in range(t.n)]
+    codes: list[tuple] = [()] * t.n
+    for v in reversed(order):
+        codes[v] = tuple(sorted(kids[v]))
+        if v != root:
+            kids[parent[v]].append(codes[v])
+    return tuple(codes)

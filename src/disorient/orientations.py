@@ -110,16 +110,12 @@ def _orbit_reps(g: Graph, edge_cap: int) -> Iterator[tuple[int, int, int]]:
         yield v, size, order
 
 
-def enumerate_orientations(g: Graph, *, up_to_symmetry: bool = True,
+def enumerate_orientations(g: Graph, *,
                            edge_cap: int = DEFAULT_EDGE_CAP) -> list[Orientation]:
-    """All orientations, one per symmetry orbit unless asked otherwise.
+    """All orientations, one per symmetry orbit.
 
     Orbit representatives are the least direction vectors, ascending.
     """
-    if not up_to_symmetry:
-        if g.m > edge_cap:
-            raise EdgeCapError(g.m, edge_cap)
-        return [Orientation.from_vector(g, v) for v in range(1 << g.m)]
     return [Orientation.from_vector(g, v) for v, _, _ in _orbit_reps(g, edge_cap)]
 
 

@@ -176,17 +176,13 @@ def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ..
     return tuple(gens), order
 
 
-def nontrivial_map(codes: list[list[int]], *, fixed=()) -> tuple[int, ...] | None:
+def nontrivial_map(codes: list[list[int]]) -> tuple[int, ...] | None:
     """Least non-identity symmetry of a code matrix, or None.
 
     The identity is the lexicographically least bijection, so it is always
     the first map yielded; the next one, if any, is the answer.
     """
-    it = find_maps(codes, codes, fixed=fixed)
-    first = next(it, None)
-    if first is None:
+    it = find_maps(codes, codes)
+    if next(it, None) != tuple(range(len(codes))):
         raise AssertionError("identity map must always be valid")
-    n = len(codes)
-    if any(first[v] != v for v in range(n)):
-        return first
     return next(it, None)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graphs import (Graph, bipartition, encode_graph6, is_claw_free,
-                     tree_center)
+                     rooted_shapes, tree_center)
 from .search import codes_for, find_maps
 
 
@@ -105,14 +105,12 @@ def connected_bipartite_graphs(n: int) -> tuple[Graph, ...]:
 
 
 def _tree_code(t: Graph):
-    def enc(v: int, parent: int):
-        return tuple(sorted(enc(w, v) for w in t.adj[v] if w != parent))
-
     c = tree_center(t)
     if c.kind == "vertex":
-        return "v", enc(c.vertices[0], -1)
+        v = c.vertices[0]
+        return "v", rooted_shapes(t, v)[v]
     a, b = c.vertices
-    return "e", tuple(sorted((enc(a, b), enc(b, a))))
+    return "e", tuple(sorted((rooted_shapes(t, b)[a], rooted_shapes(t, a)[b])))
 
 
 @lru_cache(maxsize=None)

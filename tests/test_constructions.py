@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from disorient import (
@@ -16,6 +18,8 @@ from disorient import (
     OrderedPartition,
     PairColouring,
     Permutation,
+    RootedTree,
+    automorphism_generators,
     automorphism_group,
     clawfree_rigid_orientation,
     clawfree_rigid_orientation_trace,
@@ -36,12 +40,14 @@ from disorient import (
     natural_bipartition,
     od_extremes,
     path_graph,
+    rooted_index,
     split_colouring,
     star_graph,
     tree_case,
     tree_od_values,
     trees,
 )
+from disorient.constructions import _tree_dprime
 
 
 def _class_swap_exists(g):
@@ -329,3 +335,62 @@ class TestTreeOdValues:
     def test_case_tag_returned(self):
         _, _, tc = tree_od_values(path_graph(4))
         assert tc.kind == CENTRAL_EDGE_SWAPPED
+
+
+def complete_tree(arity, depth):
+    """Every internal vertex has arity children, every leaf is at depth."""
+    n = (arity ** (depth + 1) - 1) // (arity - 1)
+    return Graph.from_edges(n, (((v - 1) // arity, v) for v in range(1, n)))
+
+
+def _orbit(gens, v):
+    orbit = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for p in gens:
+            w = p.image[u]
+            if w not in orbit:
+                orbit.add(w)
+                stack.append(w)
+    return orbit
+
+
+@st.composite
+def relabelled_trees(draw):
+    """A random tree on 3..12 vertices and a random relabelling of it."""
+    n = draw(st.integers(3, 12))
+    t = Graph.from_edges(n, [(draw(st.integers(0, v - 1)), v)
+                             for v in range(1, n)])
+    return t, draw(st.permutations(range(n)))
+
+
+class TestTreeCounting:
+    def test_counted_index_and_swap_vs_search(self):
+        for n in range(3, 13):
+            for t in trees(n):
+                case = tree_case(t)
+                assert _tree_dprime(t, case) == dprime(t).value, encode_graph6(t)
+                if case.center.kind == "edge":
+                    a, b = case.center.vertices
+                    swapped = b in _orbit(automorphism_generators(t)[0], a)
+                    assert (case.kind == CENTRAL_EDGE_SWAPPED) == swapped, \
+                        encode_graph6(t)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(relabelled_trees(), st.data())
+    def test_invariant_under_relabelling(self, pair, data):
+        t, image = pair
+        u = t.relabel(image)
+        lo, hi, case = tree_od_values(t)
+        lo_u, hi_u, case_u = tree_od_values(u)
+        assert (lo, hi, case.kind, case.unique_optimal) == \
+            (lo_u, hi_u, case_u.kind, case_u.unique_optimal)
+        root = data.draw(st.integers(0, t.n - 1))
+        assert rooted_index(RootedTree(t, root)) == \
+            rooted_index(RootedTree(u, image[root]))
+
+    def test_reach_past_the_search(self):
+        # every vertex's children share one shape, so E_k = 1 at k = arity
+        assert tree_od_values(complete_tree(2, 5))[:2] == (1, 2)
+        assert tree_od_values(complete_tree(3, 3))[:2] == (2, 3)

@@ -22,6 +22,7 @@ from disorient import (
     longest_cycle,
     parse,
     path_graph,
+    rooted_shapes,
     star_graph,
     tree_center,
     trees,
@@ -218,3 +219,15 @@ class TestTreeCenter:
             mapped = tree_center(t.relabel(perm))
             direct = tree_center(t)
             assert sorted(mapped.vertices) == sorted(perm[v] for v in direct.vertices)
+
+
+class TestRootedShapes:
+    def test_path_and_star(self):
+        leaf = ()
+        assert rooted_shapes(path_graph(3), 0) == (((leaf,),), (leaf,), leaf)
+        assert rooted_shapes(path_graph(3), 1) == (leaf, (leaf, leaf), leaf)
+        assert rooted_shapes(star_graph(3), 1)[1] == ((leaf, leaf),)
+
+    def test_non_tree_rejected(self):
+        with pytest.raises(ValueError):
+            rooted_shapes(cycle_graph(4), 0)
