@@ -19,12 +19,12 @@ from .constructions import (CENTRAL_EDGE_FIXED, CENTRAL_EDGE_SWAPPED,
                             compatible_orientation, hamiltonian_orientation,
                             layered_orientation, merge_colouring,
                             natural_bipartition, split_colouring, tree_case,
-                            tree_od_values)
-from .distinguishing import (Colouring, DprimeResult, RootedTree,
+                            tree_dprime, tree_od_values)
+from .distinguishing import (Colouring, DprimeResult, RootedTree, ShapeTable,
                              colour_preserving_automorphism,
                              count_optimal_rooted_colourings, dprime,
-                             dprime_at_most, is_distinguishing, preserves,
-                             rooted_index)
+                             dprime_at_most, is_distinguishing,
+                             oriented_tree_index, preserves, rooted_index)
 from .graphs import (CenterInfo, FormatError, Graph, Orientation,
                      StructureReport, analyze, bipartition, encode_digraph6,
                      encode_graph6, hamiltonian_path, is_claw_free,

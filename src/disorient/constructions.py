@@ -557,7 +557,8 @@ def tree_case(t: Graph) -> TreeCase:
         return TreeCase(CENTRAL_VERTEX, center)
     a, b = center.vertices
     # an automorphism swaps a and b exactly when their halves have one shape
-    if rooted_shapes(t, a)[b] != rooted_shapes(t, b)[a]:
+    table: dict[tuple[int, ...], int] = {}
+    if rooted_shapes(t, a, table)[b] != rooted_shapes(t, b, table)[a]:
         return TreeCase(CENTRAL_EDGE_FIXED, center)
     half = _component_rooted(t, a, avoid_edge=(a, b))
     unique = count_optimal_rooted_colourings(half) == 1
@@ -588,13 +589,13 @@ def tree_od_values(t: Graph) -> tuple[int, int, TreeCase]:
     half colouring lowers both by replacing D with D-1.
     """
     case = tree_case(t)
-    d = _tree_dprime(t, case)
+    d = tree_dprime(t, case)
     if case.kind == CENTRAL_EDGE_SWAPPED and case.unique_optimal:
         return ceil((d - 1) / 2), d - 1, case
     return ceil(d / 2), d, case
 
 
-def _tree_dprime(t: Graph, case: TreeCase) -> int:
+def tree_dprime(t: Graph, case: TreeCase | None = None) -> int:
     """The tree's distinguishing index D, counted from its case.
 
     When no automorphism moves the first centre vertex, D is the rooted
@@ -602,8 +603,9 @@ def _tree_dprime(t: Graph, case: TreeCase) -> int:
     halves get inequivalent colourings, so D is the least width with at
     least two classes for the half: its rooted index r when the optimal
     class is not unique, else r + 1, since one more colour always adds a
-    class.
+    class.  The case is worked out when not given.
     """
+    case = case or tree_case(t)
     if case.kind != CENTRAL_EDGE_SWAPPED:
         return rooted_index(RootedTree(t, case.center.vertices[0]))
     return rooted_index(case.rooted_half) + case.unique_optimal

@@ -14,19 +14,23 @@ inputs cheap: interchangeable pendant edges at a shared support must
 receive pairwise distinct colours, and automorphisms that defeated
 earlier candidates are replayed as quick filters before the full test.
 
-Rooted trees are counted, not searched: the distinguishing colourings
-of a rooted tree, up to root-preserving automorphisms, have a closed-form
-count over the shape classes of each vertex's children.
+Rooted and oriented trees are counted, not searched: the distinguishing
+colourings of a rooted tree, up to root-preserving automorphisms, have
+a closed-form count over the shape classes of each vertex's children,
+and an oriented tree is a rooted one, hung from its centre, whose
+classes also carry the arc directions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, prod
 from typing import Iterator
 
-from .graphs import Graph, Orientation, is_connected, is_tree, rooted_shapes
+from .graphs import (Graph, Orientation, is_connected, is_tree, rooted_shapes,
+                     tree_center)
 from .groups import Permutation
 from .search import codes_for, nontrivial_map
 
@@ -103,11 +107,14 @@ def is_distinguishing(x: Graph | Orientation, colouring: Colouring) -> bool:
     return colour_preserving_automorphism(x, colouring) is None
 
 
-def dprime(x: Graph | Orientation) -> DprimeResult:
+def dprime(x: Graph | Orientation, *, min_width: int = 1) -> DprimeResult:
     """Exact distinguishing index with a deterministic witness colouring.
 
     The witness is the first hit in a fixed enumeration order, so equal
-    inputs always produce identical output.
+    inputs always produce identical output.  A caller that knows the
+    index is at least min_width (say, from a count) may start the search
+    there: no narrower width has a distinguishing colouring to hit, so
+    the witness is the same.
     """
     g = x.base if isinstance(x, Orientation) else x
     if not is_connected(g):
@@ -115,7 +122,7 @@ def dprime(x: Graph | Orientation) -> DprimeResult:
     if isinstance(x, Graph) and g.n == 2:
         raise ValueError(
             "the distinguishing index of a single undirected edge is undefined")
-    result = _dprime_search(x)
+    result = _dprime_search(x, min_width=min_width)
     assert result is not None
     return result
 
@@ -131,13 +138,50 @@ def dprime_at_most(x: Graph | Orientation, k: int) -> DprimeResult | None:
     return _dprime_search(x, max_width=k)
 
 
+class ShapeTable:
+    """AHU shape codes of rooted trees and their colouring counts E_k.
+
+    graphs.rooted_shapes interns codes in the codes dict, so codes from
+    one table compare as integers across trees, roots and orientations.
+    E_k is memoised per width and extended as the table grows: a sweep
+    over the orientations of one tree counts each directed shape once
+    per width.
+    """
+
+    def __init__(self) -> None:
+        self.codes: dict[tuple[int, ...], int] = {}
+        self._counts: dict[int, list[int]] = {}
+
+    def count(self, code: int, k: int) -> int:
+        """E_k of the rooted tree with this code.
+
+        A colouring breaks every root-preserving automorphism exactly
+        when, at each vertex, the pairs (edge colour to a child, class
+        of the child's coloured subtree) are pairwise distinct.  Only
+        children with one key (shape and arc direction) can clash, so
+        E_k(v) is the product, over the keys of v's children, of
+        C(k * E_k(child), multiplicity), and a leaf has E_k = 1.  The
+        table lists children before parents, so one pass in code order
+        counts every shape with no recursion.
+        """
+        counts = self._counts.setdefault(k, [])
+        for key in islice(self.codes, len(counts), None):
+            counts.append(prod(comb(k * counts[c >> 1], r)
+                               for c, r in Counter(key).items()))
+        return counts[code]
+
+    def index(self, code: int) -> int:
+        """Least width k with E_k(code) > 0: the rooted index."""
+        k = 1
+        while self.count(code, k) == 0:
+            k += 1
+        return k
+
+
 def rooted_index(rt: RootedTree) -> int:
     """Least width breaking every non-trivial root-preserving automorphism."""
-    shape = rooted_shapes(rt.tree, rt.root)[rt.root]
-    k = 1
-    while _rooted_count(shape, k) == 0:
-        k += 1
-    return k
+    shapes = ShapeTable()
+    return shapes.index(rooted_shapes(rt.tree, rt.root, shapes.codes)[rt.root])
 
 
 def count_optimal_rooted_colourings(rt: RootedTree, width: int | None = None) -> int:
@@ -147,33 +191,24 @@ def count_optimal_rooted_colourings(rt: RootedTree, width: int | None = None) ->
     one onto the other keeping colour values.  Another width may be
     given; below the optimum the count is 0.
     """
-    if width is None:
-        width = rooted_index(rt)
-    return _rooted_count(rooted_shapes(rt.tree, rt.root)[rt.root], width)
+    shapes = ShapeTable()
+    code = rooted_shapes(rt.tree, rt.root, shapes.codes)[rt.root]
+    return shapes.count(code, shapes.index(code) if width is None else width)
 
 
-def _rooted_count(shape: tuple, k: int) -> int:
-    """E_k of a rooted tree given by its AHU code.
+def oriented_tree_index(o: Orientation, shapes: ShapeTable | None = None,
+                        centre: int | None = None) -> int:
+    """Distinguishing index of an oriented tree, counted.
 
-    A colouring breaks every root-preserving automorphism exactly when,
-    at each vertex, the pairs (edge colour to a child, class of the
-    child's coloured subtree) are pairwise distinct.  Only children of
-    equal shape can clash, so E_k(v) is the product, over the shape
-    classes of v's children, of C(k * E_k(child), multiplicity), and a
-    leaf has E_k = 1.  Shapes are counted children first from an
-    explicit stack, so a deep tree costs no Python frame per level.
+    Every automorphism of an oriented tree fixes both centre vertices,
+    since swapping the ends of a central edge would reverse its arc, so
+    the index is the rooted index at a centre vertex with each arc's
+    direction in its child's key.  A sweep over the orientations of one
+    tree passes one table, to share codes and counts, and the centre.
     """
-    counts: dict[tuple, int] = {}
-    stack = [shape]
-    while stack:
-        s = stack[-1]
-        todo = [c for c in s if c not in counts]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        counts[s] = prod(comb(k * counts[c], r) for c, r in Counter(s).items())
-    return counts[shape]
+    shapes = shapes or ShapeTable()
+    c = tree_center(o.base).vertices[0] if centre is None else centre
+    return shapes.index(rooted_shapes(o.base, c, shapes.codes, o.forward)[c])
 
 
 def _edge_perm(x: Graph | Orientation, image: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -248,7 +283,7 @@ def _candidate_strings(m: int, k: int,
     yield from rec(0, 0)
 
 
-def _dprime_search(x: Graph | Orientation, *,
+def _dprime_search(x: Graph | Orientation, *, min_width: int = 1,
                    max_width: int | None = None) -> DprimeResult | None:
     g = x.base if isinstance(x, Orientation) else x
     m = g.m
@@ -263,7 +298,7 @@ def _dprime_search(x: Graph | Orientation, *,
     lower = max([2] + [len(c) for c in cliques])
     cache = [_edge_perm(x, breaker)]
     top = m if max_width is None else min(m, max_width)
-    for k in range(lower, top + 1):
+    for k in range(max(lower, min_width), top + 1):
         for assignment in _candidate_strings(m, k, prior):
             if any(all(assignment[ep[i]] == assignment[i] for i in range(m))
                    for ep in cache):

@@ -471,15 +471,20 @@ def tree_center(g: Graph) -> CenterInfo:
     return CenterInfo("edge", (u, v))
 
 
-def rooted_shapes(t: Graph, root: int) -> tuple[tuple, ...]:
+def rooted_shapes(t: Graph, root: int, table: dict[tuple[int, ...], int],
+                  forward: tuple[bool, ...] | None = None) -> list[int]:
     """AHU code of every vertex's subtree when the tree hangs from root.
 
-    A code is the sorted tuple of the children's codes, so a leaf's is ()
-    and two rooted subtrees are isomorphic exactly when their codes are
-    equal.
+    A code is an integer interned in table, which maps the sorted tuple
+    of a vertex's child keys to its code (a leaf's tuple is empty).  A
+    child's key is twice its code, plus one when its arc points to the
+    parent under forward, one direction flag per edge as in
+    Orientation.forward; without forward every key is even, as if each
+    arc pointed away from the root.  Two rooted subtrees are isomorphic,
+    arc directions included, exactly when their codes from one table are
+    equal.  Codes compare as integers however deep the tree, and a code
+    enters the table after its children's.
     """
-    if not is_tree(t):
-        raise ValueError("rooted_shapes requires a tree")
     parent = [-1] * t.n
     parent[root] = root
     order = [root]
@@ -488,10 +493,14 @@ def rooted_shapes(t: Graph, root: int) -> tuple[tuple, ...]:
             if parent[w] == -1:
                 parent[w] = v
                 order.append(w)
-    kids: list[list[tuple]] = [[] for _ in range(t.n)]
-    codes: list[tuple] = [()] * t.n
+    if t.m != t.n - 1 or len(order) != t.n:
+        raise ValueError("rooted_shapes requires a tree")
+    keys: list[list[int]] = [[] for _ in range(t.n)]
+    codes = [0] * t.n
     for v in reversed(order):
-        codes[v] = tuple(sorted(kids[v]))
+        codes[v] = table.setdefault(tuple(sorted(keys[v])), len(table))
         if v != root:
-            kids[parent[v]].append(codes[v])
-    return tuple(codes)
+            p = parent[v]
+            toward = forward is not None and forward[t.index_of(p, v)] == (v < p)
+            keys[p].append(2 * codes[v] + toward)
+    return codes

@@ -20,6 +20,13 @@ representative with no colouring search.  An orbit of size |Aut(g)| is
 rigid: index 1, constant colouring.  An orbit of size 1 has
 Aut(o) = Aut(g) and takes the graph's own result, witness included,
 since the candidate order and the twin cliques are the same.
+
+The representatives of a tree are counted, not searched: every
+automorphism of an oriented tree fixes its centre vertices, so its
+index is a rooted count over directed shape classes, and D'(g) comes
+from the undirected count.  Only the two final extremes are searched
+for their witness colourings, from the counted width up, which finds
+the same first hit as a search from width 1.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .distinguishing import Colouring, DprimeResult, dprime
-from .graphs import Graph, Orientation, is_connected
+from .constructions import tree_dprime
+from .distinguishing import Colouring, ShapeTable, dprime, oriented_tree_index
+from .graphs import Graph, Orientation, is_connected, is_tree, tree_center
 from .groups import automorphism_generators, edge_action
 
 DEFAULT_EDGE_CAP = 20
@@ -127,34 +135,57 @@ def _require_connected(g: Graph) -> None:
 def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True):
     """Least and greatest index over orbit representatives, with witnesses.
 
-    Returns two (value, orientation, colouring) triples; each keeps the
-    first representative attaining its extreme.  The walk ends once each
-    extreme asked for is reached: 1 for the least, and for the greatest
-    D'(g), which no orientation exceeds (1 for a single edge).  Only
-    representatives whose orbit size is neither |Aut(g)| nor 1 are
-    searched.  The rigid case is tested first, which covers a rigid
-    graph, the single edge and m = 0; D'(g) is computed at most once.
+    Returns two (value, orientation, colouring) triples, None for an
+    extreme not asked for; each keeps the first representative attaining
+    its extreme.  The walk ends once each extreme asked for is reached:
+    1 for the least, and for the greatest D'(g), which no orientation
+    exceeds (1 for a single edge).  Only representatives whose orbit size
+    is neither |Aut(g)| nor 1 are evaluated; the rigid case is tested
+    first, which covers a rigid graph, the single edge and m = 0.  A
+    tree's values, D'(g) included, are counted and carry no colouring, so
+    its extremes get their witnesses after the walk, from the search
+    started at the counted width.  Any other graph's values are searched,
+    D'(g) at most once.
     """
-    own = dprime(g) if greatest and g.n != 2 else None
-    bound = own.value if own else 1
+    if is_tree(g) and g.n > 2:
+        shapes = ShapeTable()
+        centre = tree_center(g).vertices[0]
+
+        def evaluate(o):
+            return oriented_tree_index(o, shapes, centre), None
+        own = tree_dprime(g), None
+    else:
+        def evaluate(x):
+            r = dprime(x)
+            return r.value, r.witness
+        own = evaluate(g) if greatest and g.n != 2 else None
+    bound = own[0] if own else 1
+    rigid = 1, Colouring.constant(g.m)
     lo = hi = None
     for v, size, order in _orbit_reps(g, edge_cap):
-        o = Orientation.from_vector(g, v)
         if size == order:
-            r = DprimeResult(1, Colouring.constant(g.m))
+            value, colouring = rigid
         elif size == 1:
-            own = own or dprime(g)
-            r = own
+            own = own or evaluate(g)
+            value, colouring = own
         else:
-            r = dprime(o)
-        if lo is None or r.value < lo[0]:
-            lo = (r.value, o, r.witness)
-        if hi is None or r.value > hi[0]:
-            hi = (r.value, o, r.witness)
+            value, colouring = evaluate(Orientation.from_vector(g, v))
+        if lo is None or value < lo[0]:
+            lo = value, v, colouring
+        if hi is None or value > hi[0]:
+            hi = value, v, colouring
         if (not least or lo[0] == 1) and (not greatest or hi[0] == bound):
             break
     assert lo is not None and hi is not None
-    return lo, hi
+    return (_witnessed(g, *lo) if least else None,
+            _witnessed(g, *hi) if greatest else None)
+
+
+def _witnessed(g: Graph, value: int, v: int, colouring: Colouring | None):
+    o = Orientation.from_vector(g, v)
+    if colouring is None:
+        colouring = dprime(o, min_width=value).witness
+    return value, o, colouring
 
 
 def od_minus(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, Orientation, Colouring]:

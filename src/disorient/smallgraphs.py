@@ -104,13 +104,14 @@ def connected_bipartite_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(g for g in connected_graphs(n) if bipartition(g) is not None)
 
 
-def _tree_code(t: Graph):
+def _tree_code(t: Graph, table: dict[tuple[int, ...], int]):
     c = tree_center(t)
     if c.kind == "vertex":
         v = c.vertices[0]
-        return "v", rooted_shapes(t, v)[v]
+        return "v", rooted_shapes(t, v, table)[v]
     a, b = c.vertices
-    return "e", tuple(sorted((rooted_shapes(t, b)[a], rooted_shapes(t, a)[b])))
+    return "e", tuple(sorted((rooted_shapes(t, b, table)[a],
+                              rooted_shapes(t, a, table)[b])))
 
 
 @lru_cache(maxsize=None)
@@ -121,11 +122,12 @@ def trees(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph.from_edges(1, ()),)
     seen = set()
+    table: dict[tuple[int, ...], int] = {}
     out = []
     for t in trees(n - 1):
         for v in range(t.n):
             s = Graph.from_edges(t.n + 1, list(t.edges) + [(v, t.n)])
-            code = _tree_code(s)
+            code = _tree_code(s, table)
             if code in seen:
                 continue
             seen.add(code)

@@ -471,30 +471,64 @@ def verify_theorem(corpus: Corpus, theorem_id: str, *,
     return _assemble(theorem_id, corpus.labels, results, started)
 
 
-def _load_cache(path) -> dict[str, dict]:
-    rows: dict[str, dict] = {}
-    p = Path(path)
-    if not p.exists():
-        return rows
-    for i, line in enumerate(p.read_text().splitlines(), start=1):
+# The last cache file read: its resolved path -> ((st_ino, st_size,
+# st_mtime_ns) or None while it does not exist, {g6: (dprime, od_minus,
+# od_plus)}).  One entry, so a long-lived process holds one file's rows.
+_CACHE_MEMO: dict[Path, tuple[tuple[int, int, int] | None, dict[str, tuple]]] = {}
+_NO_ROW = (None, None, None)
+
+
+def _stamp(p: Path) -> tuple[int, int, int] | None:
+    try:
+        st = p.stat()
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _load_cache(path) -> dict[str, tuple]:
+    """(dprime, od_minus, od_plus) by graph6 key, read once per file state.
+
+    The rows of the last file read are kept under its resolved path and
+    read again only when the file's inode, size or mtime has changed
+    since, so a scan made of many batches parses the file once.
+    """
+    p = Path(path).resolve()
+    stamp = _stamp(p)
+    memo = _CACHE_MEMO.get(p)
+    if memo is not None and memo[0] == stamp:
+        return memo[1]
+    rows: dict[str, tuple] = {}
+    lines = p.read_text().splitlines() if stamp is not None else []
+    for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
-            key = row["g6"]
-        except (json.JSONDecodeError, TypeError, KeyError):
+            rows[row["g6"]] = (row.get("dprime"), row.get("od_minus"),
+                               row.get("od_plus"))
+        except (json.JSONDecodeError, TypeError, KeyError, AttributeError):
             warnings.warn(f"cache {p}: skipping corrupt line {i}")
-            continue
-        rows[key] = row
+    _CACHE_MEMO.clear()
+    _CACHE_MEMO[p] = stamp, rows
     return rows
 
 
 def _append_cache(path, rows) -> None:
+    """Append rows; the memo takes them in unless the file changed meanwhile."""
     if not rows:
         return
-    with open(path, "a") as fh:
+    p = Path(path).resolve()
+    memo = _CACHE_MEMO.pop(p, None)
+    current = memo is not None and memo[0] == _stamp(p)
+    with open(p, "a") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+    if current:
+        known = memo[1]
+        for row in rows:
+            known[row["g6"]] = (row["dprime"], row["od_minus"], row["od_plus"])
+        _CACHE_MEMO[p] = _stamp(p), known
 
 
 def _scan_worker(args):
@@ -556,9 +590,8 @@ def scan_conjectures(corpus: Corpus, which="both", *,
     tasks = []
     for g in corpus.entries:
         canon = encode_graph6(g)
-        row = cache.get(canon, {})
-        tasks.append((canon, which, edge_cap,
-                      row.get("dprime"), row.get("od_minus")))
+        known_d, known_odm, _ = cache.get(canon, _NO_ROW)
+        tasks.append((canon, which, edge_cap, known_d, known_odm))
     outs = _run_tasks(_scan_worker, tasks, jobs)
 
     if cache_path:
@@ -567,17 +600,15 @@ def scan_conjectures(corpus: Corpus, which="both", *,
         written = set()
         for out in outs:
             canon = out["canon"]
-            old = cache.get(canon, {})
+            old = cache.get(canon, _NO_ROW)
             if canon in written:
                 continue
-            if (out["dprime"], out["od_minus"]) == (
-                    old.get("dprime"), old.get("od_minus")):
+            if (out["dprime"], out["od_minus"]) == old[:2]:
                 continue
             if out["dprime"] is None and out["od_minus"] is None:
                 continue
             fresh.append({"g6": canon, "dprime": out["dprime"],
-                          "od_minus": out["od_minus"],
-                          "od_plus": old.get("od_plus"),
+                          "od_minus": out["od_minus"], "od_plus": old[2],
                           "timestamp": stamp})
             written.add(canon)
         _append_cache(cache_path, fresh)

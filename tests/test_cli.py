@@ -200,6 +200,13 @@ class TestTreeOd:
     def test_non_tree(self, capsys):
         assert main(["tree-od", K3]) == 2
 
+    def test_deep_path_edge_list(self, capsys, tmp_path):
+        f = tmp_path / "path.txt"
+        f.write_text("2500\n" + "".join(f"{v} {v + 1}\n" for v in range(2499)))
+        code, j = run_json(capsys, ["tree-od", f"@{f}"])
+        assert code == 0
+        assert (j["od_minus"], j["od_plus"]) == (1, 1)
+
 
 class TestKmn:
     def test_json(self, capsys):

@@ -44,10 +44,10 @@ from disorient import (
     split_colouring,
     star_graph,
     tree_case,
+    tree_dprime,
     tree_od_values,
     trees,
 )
-from disorient.constructions import _tree_dprime
 
 
 def _class_swap_exists(g):
@@ -370,7 +370,7 @@ class TestTreeCounting:
         for n in range(3, 13):
             for t in trees(n):
                 case = tree_case(t)
-                assert _tree_dprime(t, case) == dprime(t).value, encode_graph6(t)
+                assert tree_dprime(t, case) == dprime(t).value, encode_graph6(t)
                 if case.center.kind == "edge":
                     a, b = case.center.vertices
                     swapped = b in _orbit(automorphism_generators(t)[0], a)
@@ -389,6 +389,11 @@ class TestTreeCounting:
         root = data.draw(st.integers(0, t.n - 1))
         assert rooted_index(RootedTree(t, root)) == \
             rooted_index(RootedTree(u, image[root]))
+
+    def test_deep_paths(self):
+        # AHU codes compare as integers, so depth is not a recursion limit
+        assert tree_od_values(path_graph(3000))[:2] == tree_od_values(path_graph(10))[:2]
+        assert tree_od_values(path_graph(3001))[:2] == tree_od_values(path_graph(11))[:2]
 
     def test_reach_past_the_search(self):
         # every vertex's children share one shape, so E_k = 1 at k = arity

@@ -223,11 +223,32 @@ class TestTreeCenter:
 
 class TestRootedShapes:
     def test_path_and_star(self):
-        leaf = ()
-        assert rooted_shapes(path_graph(3), 0) == (((leaf,),), (leaf,), leaf)
-        assert rooted_shapes(path_graph(3), 1) == (leaf, (leaf, leaf), leaf)
-        assert rooted_shapes(star_graph(3), 1)[1] == ((leaf, leaf),)
+        table = {}
+        # a leaf is code 0, and a child's key is twice its code
+        assert rooted_shapes(path_graph(3), 0, table) == [2, 1, 0]
+        assert rooted_shapes(path_graph(3), 1, table) == [0, 3, 0]
+        assert table == {(): 0, (0,): 1, (2,): 2, (0, 0): 3}
+        # the star hung from a leaf: one child holding two leaves
+        assert rooted_shapes(star_graph(3), 1, table)[1] == table[(6,)]
+
+    def test_arc_directions_in_keys(self):
+        p = path_graph(3)
+        table = {}
+        # 0 -> 1 -> 2 seen from the middle: one arc in (odd key), one out
+        assert rooted_shapes(p, 1, table, (True, True))[1] == table[(0, 1)]
+        assert rooted_shapes(p, 1, table, (True, False))[1] == table[(1, 1)]
+        # without directions every arc points away from the root
+        assert rooted_shapes(p, 1, table)[1] == \
+            rooted_shapes(p, 1, table, (False, True))[1] == table[(0, 0)]
+
+    def test_deep_path(self):
+        # codes are integers, so depth costs no recursion when they compare
+        table = {}
+        a = rooted_shapes(path_graph(5000), 0, table)
+        b = rooted_shapes(path_graph(5000), 4999, table)
+        assert a == b[::-1]
+        assert len(table) == 5000
 
     def test_non_tree_rejected(self):
         with pytest.raises(ValueError):
-            rooted_shapes(cycle_graph(4), 0)
+            rooted_shapes(cycle_graph(4), 0, {})

@@ -1,11 +1,15 @@
 """Orientation sweeps and the min/max index over orientations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from disorient import (
     EdgeCapError,
+    Graph,
     Orientation,
+    ShapeTable,
     automorphism_group,
     connected_graphs,
     cycle_graph,
@@ -18,10 +22,12 @@ from disorient import (
     od_extremes,
     od_minus,
     od_plus,
+    oriented_tree_index,
     path_graph,
     star_graph,
     trees,
 )
+from disorient import orientations
 from disorient.orientations import _orbit_reps
 
 
@@ -228,3 +234,52 @@ class TestFindRigid:
             for g in connected_graphs(n):
                 present = find_rigid_orientation(g) is not None
                 assert present == (od_extremes(g).od_minus == 1), encode_graph6(g)
+
+
+@st.composite
+def oriented_trees(draw):
+    """A random tree on 3..12 vertices with a random orientation."""
+    n = draw(st.integers(3, 12))
+    t = Graph.from_edges(n, [(draw(st.integers(0, v - 1)), v)
+                             for v in range(1, n)])
+    return Orientation.from_vector(t, draw(st.integers(0, (1 << t.m) - 1)))
+
+
+class TestCountedTreeSweep:
+    """A tree's sweep counts; the generic search stays the check."""
+
+    def test_counted_index_on_every_representative(self):
+        for n in range(3, 10):
+            for t in trees(n):
+                shapes = ShapeTable()
+                for v, _, _ in _orbit_reps(t, 20):
+                    o = Orientation.from_vector(t, v)
+                    want = dprime(o).value
+                    assert oriented_tree_index(o, shapes) == want, \
+                        (encode_graph6(t), v)
+                    assert oriented_tree_index(o) == want, (encode_graph6(t), v)
+
+    def test_extremes_vs_no_dedup_oracle(self):
+        for n in range(3, 7):
+            for t in trees(n):
+                r = od_extremes(t)
+                assert (r.od_minus, r.od_plus) == oracles.brute_od_extremes(t), \
+                    encode_graph6(t)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(oriented_trees())
+    def test_counted_index_vs_search(self, o):
+        assert oriented_tree_index(o) == dprime(o).value
+
+    def test_search_only_for_final_witnesses(self, monkeypatch):
+        calls = []
+
+        def spy(x, **kwargs):
+            calls.append(x)
+            return dprime(x, **kwargs)
+        monkeypatch.setattr(orientations, "dprime", spy)
+        for t in trees(8):
+            calls.clear()
+            od_extremes(t)
+            assert len(calls) <= 2, encode_graph6(t)
+            assert all(isinstance(x, Orientation) for x in calls)

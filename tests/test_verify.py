@@ -1,9 +1,11 @@
 """Verification harness: reports, skips, caching, parallel equality."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from disorient import verify
 from disorient import (
     CLAIMS,
     THEOREM_IDS,
@@ -182,6 +184,41 @@ class TestScanConjectures:
         with pytest.warns(UserWarning, match="corrupt line 1"):
             r = scan_conjectures(_corpus(complete_graph(3)), cache_path=cache)
         assert r.ok
+
+    def test_batches_read_the_cache_once(self, tmp_path, monkeypatch):
+        cache = tmp_path / "scan.jsonl"
+        scan_conjectures(_corpus(path_graph(3)), cache_path=cache)
+        reads = []
+        read_text = Path.read_text
+
+        def spy(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+        monkeypatch.setattr(Path, "read_text", spy)
+        verify._CACHE_MEMO.clear()
+        for g in (complete_graph(3), cycle_graph(5), path_graph(4)):
+            assert scan_conjectures(_corpus(g), cache_path=cache).ok
+        assert reads == [cache.resolve()]
+        rows = [json.loads(line) for line in read_text(cache).splitlines()]
+        assert len(rows) == 4
+
+    def test_cache_rewritten_from_outside_is_seen(self, tmp_path):
+        cache = tmp_path / "scan.jsonl"
+        corpus = _corpus(path_graph(3))
+        assert scan_conjectures(corpus, "2", cache_path=cache).ok
+        # another writer replaces the rows with impossible values
+        cache.write_text(json.dumps({"g6": encode_graph6(path_graph(3)),
+                                     "dprime": 2, "od_minus": 2}) + "\n")
+        assert not scan_conjectures(corpus, "2", cache_path=cache).ok
+
+    def test_corrupt_line_warns_on_the_read_that_sees_it(self, tmp_path):
+        cache = tmp_path / "scan.jsonl"
+        corpus = _corpus(complete_graph(3))
+        scan_conjectures(corpus, cache_path=cache)
+        with cache.open("a") as fh:
+            fh.write("{not json\n")
+        with pytest.warns(UserWarning, match="corrupt line 2"):
+            assert scan_conjectures(corpus, cache_path=cache).ok
 
     def test_counterexample_reported_not_raised(self, tmp_path):
         # seed the cache with impossible values; the scan must surface
