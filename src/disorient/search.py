@@ -13,6 +13,15 @@ both sides are one matrix (automorphisms, rigidity and stabiliser tests)
 the refinement runs on that side alone.  It is a pure filter: correctness
 never depends on it.  Maps are yielded in lexicographic order of their
 image tuple, so the identity is always the first automorphism produced.
+
+canonical_form gives a value that two code matrices share exactly when
+one relabels the other, by individualisation-refinement (McKay and
+Piperno, Practical graph isomorphism II, 2014).  Its refinement labels a
+vertex by the rank of its signature among the sorted distinct ones, not
+by first appearance, so the labels do not depend on vertex numbering.
+The search individualises each vertex of the smallest non-singleton
+cell in turn, takes the least certificate over the leaves, and prunes
+by the symmetries that pairs of leaves with equal certificates reveal.
 """
 
 from __future__ import annotations
@@ -142,7 +151,10 @@ def find_maps(src: list[list[int]], dst: list[list[int]], *,
                 used[w] = False
         image[v] = -1
 
-    yield from place(0)
+    try:
+        yield from place(0)
+    finally:
+        del place  # the closure refers to itself; break the cycle
 
 
 def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -174,6 +186,115 @@ def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ..
                         orbit.append(gen[u])
         order *= len(orbit)
     return tuple(gens), order
+
+
+def _equitable(rows, label: list[int], classes: int,
+               width: int) -> tuple[list[int], int]:
+    """Refine labels 0..classes-1 until a round splits no class.
+
+    rows[v] holds v's (neighbour, code index) pairs.  A vertex's key is
+    its label and the sorted label * width + code index of its pairs, and
+    its new label is the rank of that key among the sorted distinct keys.
+    A key starts with the old label, so the order between classes is kept
+    and the result does not depend on how the vertices are numbered.  A
+    vertex alone in its class cannot split, so its pairs are not read.
+    Returns the labels and their number.
+    """
+    n = len(rows)
+    while True:
+        size = [0] * classes
+        for lab in label:
+            size[lab] += 1
+        keys = [(lab, tuple(sorted([label[u] * width + i for u, i in row]))
+                 if size[lab] > 1 else ())
+                for lab, row in zip(label, rows)]
+        order = sorted(set(keys))
+        rank = {key: r for r, key in enumerate(order)}
+        label = [rank[key] for key in keys]
+        if len(order) == classes or len(order) == n:
+            return label, len(order)
+        classes = len(order)
+
+
+def canonical_form(codes: list[list[int]]) -> tuple:
+    """A value equal for two code matrices exactly when one relabels the other.
+
+    Individualisation-refinement: refine to an equitable labelling, then
+    individualise in turn each vertex of the smallest non-singleton cell
+    (ties broken by label) and recurse.  At a leaf every vertex has its
+    own label, and the certificate is the sorted tuple of the relabelled
+    (label, label, code) entries, each packed into one integer.  The form
+    is the vertex count, the sorted distinct codes and the least
+    certificate over all leaves.  Two leaves with equal certificates give
+    a symmetry that maps the earlier leaf's path onto the later one, so
+    the search goes back to the node where the two paths part.  At every
+    node a vertex is skipped when the symmetries found so far that fix
+    the path map it to a vertex already tried there.  The diagonal is not
+    read.
+    """
+    n = len(codes)
+    sparse = _sparse_rows(codes)
+    values = sorted({c for row in sparse for _, c in row})
+    index = {c: i for i, c in enumerate(values)}
+    width = len(values)
+    rows = [[(u, index[c]) for u, c in row] for row in sparse]
+    autos: list[tuple[int, ...]] = []
+    leaves: list = []  # [first, best], each (certificate, label, path)
+
+    def symmetry(other, label, path) -> int:
+        # label^-1 . other's label carries the other leaf onto this one
+        inv = [0] * n
+        for v, p in enumerate(label):
+            inv[p] = v
+        autos.append(tuple(inv[p] for p in other[1]))
+        depth = 0
+        while other[2][depth] == path[depth]:
+            depth += 1
+        return depth
+
+    def search(label: list[int], classes: int, path: list[int]) -> int:
+        depth = len(path)
+        if classes == n:
+            cert = tuple(sorted([(label[v] * n + label[u]) * width + i
+                                 for v, row in enumerate(rows) for u, i in row]))
+            if not leaves:
+                leaves[:] = [(cert, label, path)] * 2
+            elif cert == leaves[0][0]:
+                return symmetry(leaves[0], label, path)
+            elif cert == leaves[1][0]:
+                return symmetry(leaves[1], label, path)
+            elif cert < leaves[1][0]:
+                leaves[1] = (cert, label, path)
+            return depth
+        size = [0] * classes
+        for lab in label:
+            size[lab] += 1
+        target = size.index(min(s for s in size if s > 1))
+        tried: list[int] = []
+        for w in range(n):
+            if label[w] != target or tried and _reaches(w, tried, autos, path):
+                continue
+            child = [lab + (lab >= target) for lab in label]
+            child[w] = target
+            back = search(*_equitable(rows, child, classes + 1, width), path + [w])
+            if back < depth:
+                return back
+            tried.append(w)
+        return depth
+
+    search(*_equitable(rows, [0] * n, 1, width), [])
+    return n, tuple(values), leaves[1][0]
+
+
+def _reaches(w: int, targets: list[int], autos, path: list[int]) -> bool:
+    """Whether the symmetries in autos that fix path map w into targets."""
+    gens = [a for a in autos if all(a[v] == v for v in path)]
+    orbit = [w]
+    for u in orbit:
+        for a in gens:
+            if a[u] not in orbit:
+                orbit.append(a[u])
+    return any(t in orbit for t in targets)
 
 
 def nontrivial_map(codes: list[list[int]]) -> tuple[int, ...] | None:

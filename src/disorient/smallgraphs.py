@@ -8,6 +8,16 @@ closed under induced subgraphs, so the same chain restricted to
 claw-free graphs stays complete.  Trees are grown by leaf attachment
 and deduplicated by their canonical centre-rooted encoding.
 
+Graphs are deduplicated by canonical form (search.canonical_form): a
+candidate is kept when its form has not been seen.  For each parent only
+neighbour sets least in their orbit under the parent's automorphism
+group are tried.  This keeps the same representatives, in the same
+order: two sets in one orbit give isomorphic graphs, and the least set
+of the orbit is tried first, so a set that is not least could only have
+given a duplicate.  For claw-free growth a candidate is screened before
+it is built: the parent has no claw, so a new claw must use the new
+vertex.
+
 All generators return tuples in a deterministic order (edge count, then
 graph6 string) and cache their results per process.
 """
@@ -19,7 +29,7 @@ from itertools import combinations
 
 from .graphs import (Graph, bipartition, encode_graph6, is_claw_free,
                      rooted_shapes, tree_center)
-from .search import codes_for, find_maps
+from .search import canonical_form, graph_codes, strong_generators
 
 
 def path_graph(n: int) -> Graph:
@@ -55,33 +65,80 @@ def double_star(a: int, b: int) -> Graph:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if _iso_key(g) != _iso_key(h):
-        return False
-    return next(iter(find_maps(codes_for(g), codes_for(h))), None) is not None
+    return g.n == h.n and \
+        canonical_form(graph_codes(g)) == canonical_form(graph_codes(h))
 
 
-def _iso_key(g: Graph):
-    degs = tuple(sorted(g.degree(v) for v in range(g.n)))
-    around = tuple(sorted(
-        tuple(sorted(g.degree(w) for w in g.adj[v])) for v in range(g.n)))
-    return g.n, g.m, degs, around
+def _least_masks(n: int, gens) -> list[int]:
+    """Non-empty vertex sets, as bitmasks, least in their orbit under gens."""
+    seen = bytearray(1 << n)
+    least = []
+    for mask in range(1, 1 << n):
+        if seen[mask]:
+            continue
+        least.append(mask)
+        seen[mask] = 1
+        orbit = [mask]
+        for m in orbit:
+            for gen in gens:
+                img = 0
+                for v in range(n):
+                    if m >> v & 1:
+                        img |= 1 << gen[v]
+                if not seen[img]:
+                    seen[img] = 1
+                    orbit.append(img)
+    return least
+
+
+def _extends_clawfree(bits: list[int], mask: int) -> bool:
+    """Whether a new vertex joined to mask keeps a claw-free graph claw-free.
+
+    bits[v] is the neighbour bitmask of v.  A new claw must use the new
+    vertex: as its centre, with three pairwise non-adjacent vertices of
+    mask as leaves, or as a leaf, when a vertex of mask has two
+    non-adjacent neighbours outside mask.
+    """
+    nbrs = [v for v in range(len(bits)) if mask >> v & 1]
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            if not bits[a] >> b & 1 and (mask & ~bits[a] & ~bits[b]) >> b > 1:
+                return False
+        rest = bits[a] & ~mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rest & ~bits[low.bit_length() - 1]:
+                return False
+    return True
 
 
 def _grow(parents, keep=None) -> tuple[Graph, ...]:
-    """All one-vertex extensions of the parent graphs, up to isomorphism."""
-    buckets: dict[tuple, list[Graph]] = {}
+    """All one-vertex extensions of the parent graphs, up to isomorphism.
+
+    Only neighbour sets least in their orbit under the parent's group are
+    tried, and a candidate is kept when its canonical form is new.
+    keep(bits, mask), when given, screens a candidate before it is built:
+    bits holds the parent's neighbour bitmasks and mask the new vertex's
+    neighbours.
+    """
+    seen = set()
     out: list[Graph] = []
     for g in parents:
-        for mask in range(1, 1 << g.n):
-            extra = [(v, g.n) for v in range(g.n) if mask >> v & 1]
-            h = Graph.from_edges(g.n + 1, list(g.edges) + extra)
-            if keep is not None and not keep(h):
+        n = g.n
+        codes = graph_codes(g)
+        bits = [sum(1 << u for u in g.adj[v]) for v in range(n)]
+        for mask in _least_masks(n, strong_generators(codes)[0]):
+            if keep is not None and not keep(bits, mask):
                 continue
-            bucket = buckets.setdefault(_iso_key(h), [])
-            if any(are_isomorphic(h, r) for r in bucket):
+            col = [mask >> v & 1 for v in range(n)]
+            form = canonical_form([row + [c] for row, c in zip(codes, col)]
+                                  + [col + [0]])
+            if form in seen:
                 continue
-            bucket.append(h)
-            out.append(h)
+            seen.add(form)
+            extra = [(v, n) for v in range(n) if col[v]]
+            out.append(Graph.from_edges(n + 1, list(g.edges) + extra))
     return _canonical_order(out)
 
 
@@ -147,7 +204,7 @@ def clawfree_graphs(n: int, max_edges: int | None = None) -> tuple[Graph, ...]:
     if n <= 7:
         base = tuple(g for g in connected_graphs(n) if is_claw_free(g))
     else:
-        base = _grow(clawfree_graphs(n - 1), keep=is_claw_free)
+        base = _grow(clawfree_graphs(n - 1), keep=_extends_clawfree)
     if max_edges is None:
         return base
     return tuple(g for g in base if g.m <= max_edges)

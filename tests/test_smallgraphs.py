@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from disorient import (
     are_isomorphic,
     bipartition,
@@ -22,6 +23,8 @@ from disorient import (
     trees,
 )
 from disorient.graphs import Graph
+from disorient.search import graph_codes, strong_generators
+from disorient.smallgraphs import _extends_clawfree, _least_masks
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11,
@@ -106,6 +109,28 @@ class TestDedup:
 
     def test_cached(self):
         assert connected_graphs(5) is connected_graphs(5)
+
+
+class TestGrowth:
+    def test_claw_check_through_new_vertex(self):
+        for n in range(1, 7):
+            for g in clawfree_graphs(n):
+                bits = [sum(1 << u for u in g.adj[v]) for v in range(n)]
+                for mask in range(1 << n):
+                    extra = [(v, n) for v in range(n) if mask >> v & 1]
+                    h = Graph.from_edges(n + 1, list(g.edges) + extra)
+                    assert _extends_clawfree(bits, mask) == is_claw_free(h), \
+                        (g, mask)
+
+    def test_least_masks_one_per_orbit(self):
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                images = oracles.brute_automorphism_images(g)
+                least = {min(sum(1 << img[v] for v in range(n) if mask >> v & 1)
+                             for img in images)
+                         for mask in range(1, 1 << n)}
+                gens = strong_generators(graph_codes(g))[0]
+                assert _least_masks(n, gens) == sorted(least), g
 
 
 class TestCompleteness:
