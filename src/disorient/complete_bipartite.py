@@ -2,8 +2,8 @@
 
 For K_{m,n} with 2 <= m < n the distinguishing index is governed by the
 radix r with (r-1)^m < n <= r^m: writing t for the least power of r
-reaching m, the index is r when n stays below r^m - t - 1, r + 1 when n
-exceeds r^m - t + 1, and at n = r^m - t either value can occur.  The
+reaching m, the index is r when n <= r^m - t - 1, r + 1 when
+n >= r^m - t + 1, and at n = r^m - t either value can occur.  The
 boundary case is settled here by direct computation whenever the graph
 is small enough to sweep.
 

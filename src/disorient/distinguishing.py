@@ -135,6 +135,8 @@ def dprime_at_most(x: Graph | Orientation, k: int) -> DprimeResult | None:
     if isinstance(x, Graph) and g.n == 2:
         raise ValueError(
             "the distinguishing index of a single undirected edge is undefined")
+    if k < 1:
+        return None  # no index is below 1
     return _dprime_search(x, max_width=k)
 
 

@@ -133,7 +133,7 @@ def automorphisms(x: Graph | Orientation, *, cap: int | None = None) -> Iterator
     """Automorphisms in lexicographic image order, the identity first."""
     codes = codes_for(x)
     count = 0
-    for img in find_maps(codes, codes):
+    for img in find_maps(codes):
         count += 1
         if cap is not None and count > cap:
             raise GroupSizeError(cap)

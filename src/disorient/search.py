@@ -1,27 +1,27 @@
-"""Backtracking search for structure-preserving vertex bijections.
+"""Backtracking search for the symmetries of a coloured (di)graph.
 
-One engine serves automorphism enumeration, rigidity tests, stabiliser
-checks for coloured structures, and isomorphism tests between two coloured
-structures.  Adjacency, arc direction and colour are folded into one small
-integer per ordered vertex pair (an n-by-n code matrix); a valid map phi
-must satisfy dst[phi(u)][phi(v)] == src[u][v] for all pairs.
+One engine serves automorphism enumeration, rigidity tests and
+stabiliser checks for coloured structures.  Adjacency, arc direction and
+colour are folded into one small integer per ordered vertex pair (an
+n-by-n code matrix); a symmetry phi must satisfy
+codes[phi(u)][phi(v)] == codes[u][v] for all pairs.
 
 Candidate images are pruned by iterated neighbourhood-multiset refinement
 over sparse rows: each vertex keeps only its nonzero (neighbour, code)
-pairs, so a round costs the number of arcs rather than n squared.  When
-both sides are one matrix (automorphisms, rigidity and stabiliser tests)
-the refinement runs on that side alone.  It is a pure filter: correctness
-never depends on it.  Maps are yielded in lexicographic order of their
-image tuple, so the identity is always the first automorphism produced.
+pairs, so a round costs the number of arcs rather than n squared.  The
+refinement labels a vertex by the rank of its signature among the sorted
+distinct ones, not by first appearance, so the labels do not depend on
+vertex numbering.  It is a pure filter for find_maps: correctness never
+depends on it.  Maps are yielded in lexicographic order of their image
+tuple, so the identity is always the first symmetry produced.
 
 canonical_form gives a value that two code matrices share exactly when
 one relabels the other, by individualisation-refinement (McKay and
-Piperno, Practical graph isomorphism II, 2014).  Its refinement labels a
-vertex by the rank of its signature among the sorted distinct ones, not
-by first appearance, so the labels do not depend on vertex numbering.
-The search individualises each vertex of the smallest non-singleton
-cell in turn, takes the least certificate over the leaves, and prunes
-by the symmetries that pairs of leaves with equal certificates reveal.
+Piperno, Practical graph isomorphism II, 2014), with the same
+refinement.  The search individualises each vertex of the smallest
+non-singleton cell in turn, takes the least certificate over the leaves,
+and prunes by the symmetries that pairs of leaves with equal
+certificates reveal.
 """
 
 from __future__ import annotations
@@ -64,66 +64,36 @@ def _sparse_rows(codes: list[list[int]]) -> list[list[tuple[int, int]]]:
             for v, row in enumerate(codes)]
 
 
-def _signatures(rows, label: list[int]) -> list[tuple]:
-    return [(label[v], tuple(sorted([(label[u], c) for u, c in row])))
-            for v, row in enumerate(rows)]
+def _labels(codes: list[list[int]]) -> list[int]:
+    """Equitable labels of a code matrix, refined from the unit partition.
 
-
-def _refine(src: list[list[int]], dst: list[list[int]]):
-    """Stable joint vertex labelling; None when label multisets diverge.
-
-    A vertex's signature is its label and the sorted (label, code) pairs
-    of its nonzero codes.  The zero codes need not be counted: the label
-    multisets of both sides agree after every round, so the class sizes
-    imply them.  When src is dst one side is computed and serves as both.
+    Codes c with |c| <= M pack as label * (2M + 1) + c, which keeps the
+    (label, code) order, negative arc codes included.
     """
-    n = len(src)
-    rows_s = _sparse_rows(src)
-    rows_d = rows_s if dst is src else _sparse_rows(dst)
-    lab_s = lab_d = [0] * n
-    classes = 1
-    while True:
-        table: dict[tuple, int] = {}
-        new_s = [table.setdefault(sig, len(table))
-                 for sig in _signatures(rows_s, lab_s)]
-        if dst is src:
-            new_d = new_s
-        else:
-            new_d = [table.get(sig) for sig in _signatures(rows_d, lab_d)]
-            if None in new_d or sorted(new_s) != sorted(new_d):
-                return None
-        lab_s, lab_d = new_s, new_d
-        if len(table) == classes or len(table) == n:
-            return lab_s, lab_d
-        classes = len(table)
+    rows = _sparse_rows(codes)
+    width = 2 * max((abs(c) for row in rows for _, c in row), default=0) + 1
+    return _equitable(rows, [0] * len(rows), 1, width)[0]
 
 
-def find_maps(src: list[list[int]], dst: list[list[int]], *,
-              fixed=()) -> Iterator[tuple[int, ...]]:
-    """Yield every bijection phi with dst[phi(u)][phi(v)] == src[u][v].
+def find_maps(codes: list[list[int]], *, fixed=()) -> Iterator[tuple[int, ...]]:
+    """Yield every bijection phi with codes[phi(u)][phi(v)] == codes[u][v].
 
     fixed is a sequence of (v, w) pairs pinning phi(v) = w.  Maps come out
-    in lexicographic order of the image tuple.  Pass one matrix as both
-    arguments for symmetries: refinement then runs on one side only.
+    in lexicographic order of the image tuple.  codes must be symmetric
+    (graphs) or antisymmetric (orientations) off the diagonal, as every
+    matrix built here is; then a matching row entry implies the matching
+    column entry, so only rows are compared.
     """
-    n = len(src)
-    if len(dst) != n:
-        return
-    refined = _refine(src, dst)
-    if refined is None:
-        return
-    lab_s, lab_d = refined
-    by_label: dict[int, list[int]] = {}
+    n = len(codes)
+    label = _labels(codes)
+    cell: dict[int, list[int]] = {}
     for w in range(n):
-        by_label.setdefault(lab_d[w], []).append(w)
-    cand: list[list[int]] = []
-    for v in range(n):
-        cand.append(list(by_label.get(lab_s[v], ())))
+        cell.setdefault(label[w], []).append(w)
+    cand = [cell[lab] for lab in label]
     for v, w in fixed:
-        cand[v] = [w] if w in cand[v] else []
-    for v in range(n):
-        if not cand[v]:
+        if w not in cand[v]:
             return
+        cand[v] = [w]
 
     image = [-1] * n
     used = [False] * n
@@ -132,19 +102,15 @@ def find_maps(src: list[list[int]], dst: list[list[int]], *,
         if v == n:
             yield tuple(image)
             return
-        src_row = src[v]
-        src_col = [src[u][v] for u in range(v)]
+        row = codes[v]
         for w in cand[v]:
             if used[w]:
                 continue
-            dst_row = dst[w]
-            ok = True
+            image_row = codes[w]
             for u in range(v):
-                iu = image[u]
-                if dst_row[iu] != src_row[u] or dst[iu][w] != src_col[u]:
-                    ok = False
+                if image_row[image[u]] != row[u]:
                     break
-            if ok:
+            else:
                 image[v] = w
                 used[w] = True
                 yield from place(v + 1)
@@ -157,6 +123,16 @@ def find_maps(src: list[list[int]], dst: list[list[int]], *,
         del place  # the closure refers to itself; break the cycle
 
 
+def _orbit(point: int, gens) -> list[int]:
+    """The images of point under the group that gens generate."""
+    orbit = [point]
+    for u in orbit:
+        for gen in gens:
+            if gen[u] not in orbit:
+                orbit.append(gen[u])
+    return orbit
+
+
 def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Strong generating set of the symmetries of a code matrix, and their number.
 
@@ -167,7 +143,7 @@ def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ..
     is the product of the orbit lengths.
     """
     n = len(codes)
-    label = _refine(codes, codes)[0]
+    label = _labels(codes)
     gens: list[tuple[int, ...]] = []
     order = 1
     for i in range(n - 1, -1, -1):
@@ -176,14 +152,11 @@ def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ..
         for w in range(i + 1, n):
             if label[w] != label[i] or w in orbit:
                 continue
-            img = next(find_maps(codes, codes, fixed=pinned + ((i, w),)), None)
+            img = next(find_maps(codes, fixed=pinned + ((i, w),)), None)
             if img is None:
                 continue
             gens.append(img)
-            for u in orbit:
-                for gen in gens:
-                    if gen[u] not in orbit:
-                        orbit.append(gen[u])
+            orbit = _orbit(i, gens)
         order *= len(orbit)
     return tuple(gens), order
 
@@ -192,9 +165,11 @@ def _equitable(rows, label: list[int], classes: int,
                width: int) -> tuple[list[int], int]:
     """Refine labels 0..classes-1 until a round splits no class.
 
-    rows[v] holds v's (neighbour, code index) pairs.  A vertex's key is
-    its label and the sorted label * width + code index of its pairs, and
-    its new label is the rank of that key among the sorted distinct keys.
+    rows[v] holds v's (neighbour, code) pairs, the code either raw or an
+    index into the sorted distinct codes; width must make label * width +
+    code injective and order-keeping on (label, code).  A vertex's key is
+    its label and the sorted label * width + code of its pairs, and its
+    new label is the rank of that key among the sorted distinct keys.
     A key starts with the old label, so the order between classes is kept
     and the result does not depend on how the vertices are numbered.  A
     vertex alone in its class cannot split, so its pairs are not read.
@@ -205,7 +180,7 @@ def _equitable(rows, label: list[int], classes: int,
         size = [0] * classes
         for lab in label:
             size[lab] += 1
-        keys = [(lab, tuple(sorted([label[u] * width + i for u, i in row]))
+        keys = [(lab, tuple(sorted([label[u] * width + c for u, c in row]))
                  if size[lab] > 1 else ())
                 for lab, row in zip(label, rows)]
         order = sorted(set(keys))
@@ -288,12 +263,7 @@ def canonical_form(codes: list[list[int]]) -> tuple:
 
 def _reaches(w: int, targets: list[int], autos, path: list[int]) -> bool:
     """Whether the symmetries in autos that fix path map w into targets."""
-    gens = [a for a in autos if all(a[v] == v for v in path)]
-    orbit = [w]
-    for u in orbit:
-        for a in gens:
-            if a[u] not in orbit:
-                orbit.append(a[u])
+    orbit = _orbit(w, [a for a in autos if all(a[v] == v for v in path)])
     return any(t in orbit for t in targets)
 
 
@@ -303,7 +273,7 @@ def nontrivial_map(codes: list[list[int]]) -> tuple[int, ...] | None:
     The identity is the lexicographically least bijection, so it is always
     the first map yielded; the next one, if any, is the answer.
     """
-    it = find_maps(codes, codes)
+    it = find_maps(codes)
     if next(it, None) != tuple(range(len(codes))):
         raise AssertionError("identity map must always be valid")
     return next(it, None)

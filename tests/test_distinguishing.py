@@ -7,6 +7,7 @@ import pytest
 import oracles
 from disorient import (
     Colouring,
+    Graph,
     Orientation,
     Permutation,
     RootedTree,
@@ -119,14 +120,19 @@ class TestDprime:
             assert dprime(o).value == oracles.brute_dprime(o)
 
     def test_witness_re_verified(self):
-        for n in range(3, 6):
-            for g in connected_graphs(n):
-                r = dprime(g)
-                assert r.witness.width == r.value
-                assert is_distinguishing(g, r.witness)
-                assert colour_preserving_automorphism(g, r.witness) is None
-                if r.value > 1:
-                    assert dprime_at_most(g, r.value - 1) is None
+        k1 = Graph(1, ())
+        rigid = Graph.from_edges(6, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 5), (2, 4)])
+        rigid_orientation = Orientation.from_vector(path_graph(3), 0)
+        extra = [k1, rigid, rigid_orientation]
+        for x in [g for n in range(3, 6) for g in connected_graphs(n)] + extra:
+            r = dprime(x)
+            assert r.witness.width == r.value
+            assert is_distinguishing(x, r.witness)
+            assert colour_preserving_automorphism(x, r.witness) is None
+            assert dprime_at_most(x, r.value - 1) is None
+        for x in extra:
+            assert dprime(x).value == 1
+            assert dprime_at_most(x, -3) is None
 
     def test_relabelling_invariance(self):
         rng = random.Random(11)

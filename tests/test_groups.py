@@ -205,24 +205,15 @@ class TestFixedSetStatus:
 class TestFindMaps:
     def test_counts_match_group_order(self):
         codes = graph_codes(cycle_graph(4))
-        assert sum(1 for _ in find_maps(codes, codes)) == 8
+        assert sum(1 for _ in find_maps(codes)) == 8
 
     def test_identity_comes_first(self):
         codes = graph_codes(path_graph(3))
-        assert next(find_maps(codes, codes)) == (0, 1, 2)
+        assert next(find_maps(codes)) == (0, 1, 2)
 
     def test_fixed_vertex(self):
         codes = graph_codes(path_graph(3))
-        assert list(find_maps(codes, codes, fixed=((0, 0),))) == [(0, 1, 2)]
-
-    def test_between_relabelled_graphs(self):
-        g = path_graph(4)
-        h = g.relabel((3, 1, 0, 2))
-        found = list(find_maps(graph_codes(g), graph_codes(h)))
-        assert len(found) == 2
-        for img in found:
-            assert sorted(img) == list(range(4))
-            assert all(h.has_edge(img[u], img[v]) for u, v in g.edges)
+        assert list(find_maps(codes, fixed=((0, 0),))) == [(0, 1, 2)]
 
     def test_colour_codes_restrict_maps(self):
         g = path_graph(3)

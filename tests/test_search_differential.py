@@ -3,9 +3,8 @@
 Random graphs on at most six vertices, each with a random orientation or
 edge colouring, are checked against brute-force permutation filters:
 the maps find_maps yields, in order, with and without a pinned vertex,
-and from the one-sided refinement (one matrix as both arguments) and
-the two-sided one (an equal copy as the second).  Runs are derandomised
-so every run draws the same examples.
+and the generators and group order from strong_generators.  Runs are
+derandomised so every run draws the same examples.
 """
 
 from itertools import combinations
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from disorient import Graph, Orientation, are_isomorphic, cycle_graph
-from disorient.search import codes_for, find_maps
+from disorient.search import codes_for, find_maps, strong_generators
 
 MAX_N = 6
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -71,7 +70,7 @@ def _expected(x, colours):
 def test_maps_match_oracle_in_order(case):
     x, colours = case
     codes = codes_for(x, colours)
-    assert list(find_maps(codes, codes)) == _expected(x, colours)
+    assert list(find_maps(codes)) == _expected(x, colours)
 
 
 @SETTINGS
@@ -83,16 +82,17 @@ def test_pinned_maps_match_oracle(case, data):
     w = data.draw(st.integers(0, n - 1))
     codes = codes_for(x, colours)
     want = [img for img in _expected(x, colours) if img[v] == w]
-    assert list(find_maps(codes, codes, fixed=((v, w),))) == want
+    assert list(find_maps(codes, fixed=((v, w),))) == want
 
 
 @SETTINGS
 @given(structures())
-def test_one_sided_refinement_matches_two_sided(case):
+def test_strong_generators_match_oracle(case):
     x, colours = case
-    codes = codes_for(x, colours)
-    copy = [row[:] for row in codes]
-    assert list(find_maps(codes, copy)) == list(find_maps(codes, codes))
+    images = _expected(x, colours)
+    gens, order = strong_generators(codes_for(x, colours))
+    assert order == len(images)
+    assert set(gens) <= set(images)
 
 
 @SETTINGS
