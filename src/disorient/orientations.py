@@ -70,19 +70,23 @@ class ODResult:
 
 
 def _action_tables(m: int, actions):
-    """Split each vector action into two table lookups by half-words."""
+    """Split each vector action into two table lookups by half-words.
+
+    The action v -> perm(v ^ flips) is affine over GF(2), so each half's
+    table starts from the image of 0, its flips moved through perm, and
+    doubles once per bit: the entries with bit i set are those without
+    it, each XORed with the image of bit i.
+    """
     lo_bits = (m + 1) // 2
     tables = []
     for perm, flips in actions:
         halves = []
         for shift, bits in ((0, lo_bits), (lo_bits, m - lo_bits)):
-            half = [0] * (1 << bits)
-            for v in range(1 << bits):
-                w = 0
-                for i in range(bits):
-                    j = i + shift
-                    w |= (((v >> i) & 1) ^ ((flips >> j) & 1)) << perm[j]
-                half[v] = w
+            moved = [1 << perm[shift + i] for i in range(bits)]
+            half = [sum(b for i, b in enumerate(moved)
+                        if flips >> (shift + i) & 1)]
+            for b in moved:
+                half += [w ^ b for w in half]
             halves.append(half)
         tables.append(halves)
     return lo_bits, tables

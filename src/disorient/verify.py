@@ -6,6 +6,19 @@ skip naming the unmet hypothesis or exceeded cap.  Conjecture scans
 follow the same shape but treat a counterexample as a reported finding,
 not an error; their distinguishing values can be cached in an
 append-only JSON-lines file so interrupted sweeps resume cheaply.
+
+A conjecture scan tries the paper's certificates before any search.
+Each ends in an exact symmetry test, so a value it gives is exact and a
+certificate that fails costs only time.  D' is 1 when the graph is
+rigid.  Otherwise one Hamiltonian path, computed only for a value the
+cache lacks, serves twice.  Colouring its edges 1 and the others 2
+leaves the identity and the path's reversal as the only candidate
+symmetries, so when the stabiliser test finds none, D' = 2.  At D' = 2
+the orientation along the path is rigid (Theorem 8); for claw-free
+graphs on six or more vertices the claw-free construction (Theorem 12)
+comes next.  A construction whose output keeps a symmetry raises
+ConstructionError.  What no certificate settles is searched as before:
+dprime, then find_rigid_orientation, then od_minus.
 """
 
 from __future__ import annotations
@@ -24,13 +37,13 @@ from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
                             clawfree_rigid_orientation_trace,
                             compatible_orientation, hamiltonian_orientation,
                             tree_od_values)
-from .distinguishing import dprime
+from .distinguishing import Colouring, dprime, is_distinguishing
 from .graphs import (FormatError, Graph, bipartition, encode_digraph6,
                      encode_graph6, hamiltonian_path, is_claw_free,
                      is_connected, is_tree, parse)
 from .groups import (NOT_FIXED, automorphism_generators, automorphism_group,
                      edge_action, fixed_set_status, is_automorphism,
-                     is_twisted)
+                     is_rigid, is_twisted)
 from .orientations import (DEFAULT_EDGE_CAP, enumerate_orientations,
                            find_rigid_orientation, od_extremes, od_minus)
 
@@ -531,6 +544,43 @@ def _append_cache(path, rows) -> None:
         _CACHE_MEMO[p] = _stamp(p), known
 
 
+def _path_distinguishes(g: Graph, path) -> bool:
+    """Whether colouring path's edges 1 and the rest 2 distinguishes g.
+
+    A symmetry keeping that colouring maps the path onto itself, so it is
+    the identity or the path's reversal; the exact test below tells which.
+    """
+    if path is None:
+        return False
+    pos = {v: i for i, v in enumerate(path)}
+    colours = [1 if abs(pos[u] - pos[v]) == 1 else 2 for u, v in g.edges]
+    return is_distinguishing(g, Colouring(2, tuple(colours)))
+
+
+def _certified_rigid(g: Graph, path) -> bool:
+    """Whether one of the paper's constructions orients g rigidly.
+
+    Each construction checks its own output for symmetry and raises
+    ConstructionError when it finds one, so True is exact.
+    """
+    if path is not None:
+        try:
+            hamiltonian_orientation(g, path)
+            return True
+        except ConstructionError:
+            pass
+    if g.n >= 6 and is_claw_free(g):
+        try:
+            clawfree_rigid_orientation_trace(g)
+            return True
+        except ConstructionError:
+            pass
+    return False
+
+
+_UNKNOWN = object()
+
+
 def _scan_worker(args):
     canon, which, cap, known_d, known_odm = args
     g = parse("graph6", canon)
@@ -544,7 +594,15 @@ def _scan_worker(args):
     if g.m > cap:
         out["result"] = _skip(f"edge count {g.m} over cap {cap}")
         return out
-    d = known_d if known_d is not None else dprime(g).value
+    # The path is computed at most once, and only for a value not known.
+    path = _UNKNOWN
+    d = known_d
+    if d is None:
+        if is_rigid(g):
+            d = 1
+        else:
+            path = hamiltonian_path(g)
+            d = 2 if _path_distinguishes(g, path) else dprime(g).value
     out["dprime"] = d
     odm = known_odm
 
@@ -560,7 +618,10 @@ def _scan_worker(args):
                 return out
     if which in ("2", "both") and d == 2:
         if odm is None:
-            if find_rigid_orientation(g, edge_cap=cap) is not None:
+            if path is _UNKNOWN:
+                path = hamiltonian_path(g)
+            if (_certified_rigid(g, path)
+                    or find_rigid_orientation(g, edge_cap=cap) is not None):
                 odm = 1
             else:
                 odm = od_minus(g, edge_cap=cap)[0]
@@ -580,6 +641,13 @@ def scan_conjectures(corpus: Corpus, which="both", *,
     which selects 1, 2, or "both".  A violation is a finding: the report
     carries it, nothing raises.  When cache_path is set, known values
     are reused and new ones appended as JSON lines.
+
+    Values the cache lacks come from certificates first: for D', a
+    rigidity test, then the colouring that sets a Hamiltonian path apart;
+    at D' = 2, the orientation along that path, then the claw-free
+    construction (see the module docstring).  Each ends in an exact
+    symmetry test, so the report and the rows are those the searches
+    alone give; the searches run only for what no certificate settles.
     """
     which = str(which)
     if which not in ("1", "2", "both"):

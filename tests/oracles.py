@@ -323,13 +323,17 @@ def distinguishing_rooted_assignments(t: Graph, root: int,
     return sorted(full)
 
 
-def oracle_rooted_dprime(t: Graph, root: int) -> int:
-    if t.m == 0:
-        return 1
-    for width in range(1, t.m + 1):
-        if distinguishing_rooted_assignments(t, root, width):
-            return width
+def _optimal_rooted_assignments(t: Graph, root: int) -> tuple[int, list]:
+    """The least width with a distinguishing colouring, and all of them."""
+    for width in range(1, max(t.m, 1) + 1):
+        cols = distinguishing_rooted_assignments(t, root, width)
+        if cols:
+            return width, cols
     raise AssertionError("rainbow colouring should always distinguish")
+
+
+def oracle_rooted_dprime(t: Graph, root: int) -> int:
+    return _optimal_rooted_assignments(t, root)[0]
 
 
 ALL_PAIRS_BUDGET = 2000
@@ -346,8 +350,9 @@ def oracle_count_rooted_classes(t: Graph, root: int,
     against representatives through explicit symmetry application.
     """
     if width is None:
-        width = oracle_rooted_dprime(t, root)
-    cols = distinguishing_rooted_assignments(t, root, width)
+        width, cols = _optimal_rooted_assignments(t, root)
+    else:
+        cols = distinguishing_rooted_assignments(t, root, width)
     images = rooted_automorphism_images(t, root)
     order = len(images)
     assert order == rooted_aut_order(t, root)

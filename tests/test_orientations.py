@@ -1,7 +1,7 @@
 """Orientation sweeps and the min/max index over orientations."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -28,7 +28,7 @@ from disorient import (
     trees,
 )
 from disorient import orientations
-from disorient.orientations import _orbit_reps
+from disorient.orientations import _action_tables, _orbit_reps
 
 
 def _orbit_of(g, vec):
@@ -283,3 +283,40 @@ class TestCountedTreeSweep:
             od_extremes(t)
             assert len(calls) <= 2, encode_graph6(t)
             assert all(isinstance(x, Orientation) for x in calls)
+
+
+@st.composite
+def edge_actions(draw):
+    m = draw(st.integers(0, 12))
+    perm = draw(st.permutations(range(m)))
+    flips = draw(st.integers(0, (1 << m) - 1))
+    return m, tuple(perm), flips
+
+
+class TestActionTables:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(edge_actions())
+    @example((11, (3, 10, 0, 7, 1, 9, 2, 8, 4, 6, 5), 0b10110011101))
+    @example((12, (11, 4, 0, 9, 2, 7, 1, 10, 5, 3, 8, 6), 0b100101101110))
+    def test_tables_match_bitwise_action(self, action):
+        m, perm, flips = action
+        lo_bits, [(lo, hi)] = _action_tables(m, [(perm, flips)])
+        assert lo_bits == (m + 1) // 2
+        assert len(lo) == 1 << lo_bits and len(hi) == 1 << (m - lo_bits)
+        for shift, half in ((0, lo), (lo_bits, hi)):
+            for v, w in enumerate(half):
+                want = 0
+                for i in range(len(half).bit_length() - 1):
+                    j = i + shift
+                    want |= ((v >> i & 1) ^ (flips >> j & 1)) << perm[j]
+                assert w == want, (m, perm, flips, shift, v)
+
+    def test_lookup_permutes_the_vectors(self):
+        # the halves differ in width exactly when m is odd
+        for m in (11, 12):
+            perm = tuple(reversed(range(m)))
+            lo_bits, [(lo, hi)] = _action_tables(m, [(perm, (1 << m) - 1)])
+            assert len(lo) * len(hi) == 1 << m
+            full = [lo[v & (1 << lo_bits) - 1] | hi[v >> lo_bits]
+                    for v in range(1 << m)]
+            assert sorted(full) == list(range(1 << m))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from disorient import Graph, Orientation, are_isomorphic, cycle_graph
-from disorient.search import codes_for, find_maps, strong_generators
+from disorient.search import _flat_labels, codes_for, find_maps, strong_generators
 
 MAX_N = 6
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -93,6 +93,25 @@ def test_strong_generators_match_oracle(case):
     gens, order = strong_generators(codes_for(x, colours))
     assert order == len(images)
     assert set(gens) <= set(images)
+
+
+def test_strong_generators_refine_once():
+    codes = codes_for(cycle_graph(6))
+    _flat_labels.cache_clear()
+    gens, order = strong_generators(codes)
+    assert order == 12
+    assert _flat_labels.cache_info().misses == 1
+    assert _flat_labels.cache_info().hits >= len(gens)
+
+
+def test_matrix_changed_in_place_is_refined_again():
+    # the cached labels follow the matrix's entries, not the list object
+    g = cycle_graph(5)
+    colours = (2,) + (1,) * (g.m - 1)  # edge (0, 1) set apart
+    codes = codes_for(g, colours)
+    assert list(find_maps(codes)) == _expected(g, colours)
+    codes[0][1] = codes[1][0] = 1
+    assert list(find_maps(codes)) == _expected(g, None)
 
 
 @SETTINGS

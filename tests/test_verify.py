@@ -9,12 +9,18 @@ from disorient import verify
 from disorient import (
     CLAIMS,
     THEOREM_IDS,
+    ConstructionError,
     Corpus,
     FormatError,
+    Graph,
     complete_bipartite_graph,
     complete_graph,
+    connected_graphs,
     cycle_graph,
+    dprime,
     encode_graph6,
+    find_rigid_orientation,
+    od_minus,
     path_graph,
     scan_conjectures,
     star_graph,
@@ -236,3 +242,98 @@ class TestScanConjectures:
         corpus = _corpus(complete_graph(3), path_graph(3), cycle_graph(5))
         assert _stable(scan_conjectures(corpus, jobs=1)) == \
             _stable(scan_conjectures(corpus, jobs=2))
+
+
+def _spy(monkeypatch, name):
+    """Record the first argument of every call verify makes to name."""
+    calls = []
+    fn = getattr(verify, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(verify, name, spy)
+    return calls
+
+
+def _rows(cache):
+    rows = [json.loads(line) for line in cache.read_text().splitlines()]
+    for row in rows:
+        del row["timestamp"]
+    return rows
+
+
+# a triangle with a pendant edge at each corner: claw-free, and its three
+# leaves rule out a Hamiltonian path
+NET = Graph.from_edges(6, [(0, 1), (0, 4), (1, 4), (0, 2), (1, 3), (4, 5)])
+# a triangle with one pendant edge, whose path colouring distinguishes it
+PAW = Graph.from_edges(4, [(0, 1), (0, 3), (1, 3), (0, 2)])
+# three legs of lengths 1, 1 and 2 at one centre: not traceable, a claw
+SPIDER = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+
+
+class TestScanCertificates:
+    def test_rows_equal_the_searches(self, tmp_path):
+        graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+        cache = tmp_path / "scan.jsonl"
+        report = scan_conjectures(Corpus.from_graphs(graphs), cache_path=cache)
+        assert report.ok
+        rows = {row["g6"]: row for row in
+                map(json.loads, cache.read_text().splitlines())}
+        skipped = {s.graph6 for s in report.skipped}
+        assert skipped == {"A_", "F~~~w"}  # the single edge, K7 over the cap
+        assert len(rows) == len(graphs) - len(skipped)
+        for g in graphs:
+            g6 = encode_graph6(g)
+            if g6 in skipped:
+                continue
+            d = dprime(g).value
+            if d == 2:
+                want = 1 if find_rigid_orientation(g) else od_minus(g)[0]
+            elif d >= 4:
+                want = od_minus(g)[0]
+            else:
+                want = None
+            assert (rows[g6]["dprime"], rows[g6]["od_minus"]) == (d, want), g6
+
+    @pytest.mark.parametrize("g, searched, swept", [
+        (PAW, False, False),
+        (path_graph(5), True, False),  # the path's reversal keeps its colouring
+        (SPIDER, True, True),
+        (NET, True, False),
+    ])
+    def test_which_values_are_searched(self, monkeypatch, g, searched, swept):
+        index = _spy(monkeypatch, "dprime")
+        sweeps = _spy(monkeypatch, "find_rigid_orientation")
+        clawfree = _spy(monkeypatch, "clawfree_rigid_orientation_trace")
+        assert dprime(g).value == 2
+        assert scan_conjectures(_corpus(g)).passed == 1
+        assert (len(index), len(sweeps)) == (int(searched), int(swept))
+        assert len(clawfree) == int(g is NET)
+
+    @pytest.mark.parametrize("name", ["hamiltonian_orientation",
+                                      "clawfree_rigid_orientation_trace"])
+    def test_failed_construction_falls_back_to_the_sweep(self, monkeypatch,
+                                                         tmp_path, name):
+        # n <= 6 includes the net, which only the claw-free step settles
+        corpus = Corpus.from_graphs(
+            g for n in range(1, 7) for g in connected_graphs(n))
+        want = _stable(scan_conjectures(corpus, cache_path=tmp_path / "a"))
+
+        def broken(g, *args):
+            raise ConstructionError("orientation kept a symmetry")
+        monkeypatch.setattr(verify, name, broken)
+        sweeps = _spy(monkeypatch, "find_rigid_orientation")
+        got = scan_conjectures(corpus, cache_path=tmp_path / "b")
+        assert got.ok and _stable(got) == want
+        assert sweeps
+        assert _rows(tmp_path / "a") == _rows(tmp_path / "b")
+
+    def test_warm_rescan_computes_no_path(self, monkeypatch, tmp_path):
+        cache = tmp_path / "scan.jsonl"
+        corpus = _corpus(NET, PAW, SPIDER, path_graph(5), star_graph(4))
+        first = scan_conjectures(corpus, cache_path=cache)
+        paths = _spy(monkeypatch, "hamiltonian_path")
+        assert _stable(scan_conjectures(corpus, cache_path=cache)) == \
+            _stable(first)
+        assert paths == []
