@@ -24,10 +24,11 @@ from .distinguishing import (Colouring, DprimeResult, RootedTree, ShapeTable,
                              colour_preserving_automorphism,
                              count_optimal_rooted_colourings, dprime,
                              dprime_at_most, is_distinguishing,
-                             oriented_tree_index, preserves, rooted_index)
-from .graphs import (CenterInfo, FormatError, Graph, Orientation,
+                             oriented_tree_colouring, oriented_tree_index,
+                             preserves, rooted_index)
+from .graphs import (CenterInfo, FormatError, Graph, HungTree, Orientation,
                      StructureReport, analyze, bipartition, encode_digraph6,
-                     encode_graph6, hamiltonian_path, is_claw_free,
+                     encode_graph6, hamiltonian_path, hang, is_claw_free,
                      is_connected, is_tree, longest_cycle, parse,
                      rooted_shapes, tree_center)
 from .groups import (DEFAULT_GROUP_CAP, NOT_FIXED, POINTWISE, SETWISE_ONLY,

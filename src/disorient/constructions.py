@@ -23,7 +23,7 @@ from .graphs import (CenterInfo, Graph, Orientation, bipartition,
                      hamiltonian_path, is_claw_free, is_connected, is_tree,
                      longest_cycle, rooted_shapes, tree_center)
 from .groups import (Permutation, arc_permutation, arcs_of, is_automorphism,
-                     is_rigid, is_twisted, nontrivial_automorphism)
+                     is_twisted, nontrivial_automorphism)
 
 CENTRAL_VERTEX = "central_vertex"
 CENTRAL_EDGE_FIXED = "central_edge_fixed"
@@ -201,8 +201,11 @@ def hamiltonian_orientation(g: Graph, path=None) -> Orientation:
     """Direct every edge from the earlier to the later path position.
 
     Every vertex ends up with a distinct count of vertices reachable by
-    directed paths, so the result has no non-trivial automorphism; this
-    is verified and a failure raises ConstructionError.
+    directed paths, so the result has no non-trivial automorphism, since
+    an automorphism keeps each vertex's count.  Each reachable set is a
+    bitmask built in one pass in reverse path order from the sets of the
+    out-neighbours, which are complete by then since every arc points
+    later on the path.  A tie raises ConstructionError.
     """
     if path is None:
         path = hamiltonian_path(g)
@@ -215,9 +218,16 @@ def hamiltonian_orientation(g: Graph, path=None) -> Orientation:
         raise ValueError("path is not a path of the graph")
     pos = _positions(path)
     o = Orientation(g, tuple(pos[u] < pos[v] for u, v in g.edges))
-    if not is_rigid(o):
+    reach = [0] * g.n
+    for v in reversed(path):
+        mask = 1 << v
+        for w in o.out_adj[v]:
+            mask |= reach[w]
+        reach[v] = mask
+    if len({mask.bit_count() for mask in reach}) < g.n:
         raise ConstructionError(
-            f"orientation along path {path} kept a symmetry; arcs: {o.arcs}")
+            f"orientation along path {path} ties reachability counts; "
+            f"arcs: {o.arcs}")
     return o
 
 

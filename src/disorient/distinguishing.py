@@ -18,19 +18,20 @@ Rooted and oriented trees are counted, not searched: the distinguishing
 colourings of a rooted tree, up to root-preserving automorphisms, have
 a closed-form count over the shape classes of each vertex's children,
 and an oriented tree is a rooted one, hung from its centre, whose
-classes also carry the arc directions.
+classes also carry the arc directions.  An oriented tree's witness
+needs no stabiliser search either: a colouring distinguishes it exactly
+when, at every vertex, the children's coloured classes are distinct.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from math import comb, prod
+from math import comb
 from typing import Iterator
 
-from .graphs import (Graph, Orientation, is_connected, is_tree, rooted_shapes,
-                     tree_center)
+from .graphs import (Graph, HungTree, Orientation, hang, is_connected, is_tree,
+                     rooted_shapes, tree_center)
 from .groups import Permutation
 from .search import codes_for, nontrivial_map
 
@@ -143,16 +144,17 @@ def dprime_at_most(x: Graph | Orientation, k: int) -> DprimeResult | None:
 class ShapeTable:
     """AHU shape codes of rooted trees and their colouring counts E_k.
 
-    graphs.rooted_shapes interns codes in the codes dict, so codes from
+    graphs.HungTree.codes interns codes in the codes dict, so codes from
     one table compare as integers across trees, roots and orientations.
-    E_k is memoised per width and extended as the table grows: a sweep
-    over the orientations of one tree counts each directed shape once
-    per width.
+    E_k is memoised per width and extended as the table grows, and the
+    index per code: a sweep over the orientations of one tree counts
+    each directed shape once per width and finds each index once.
     """
 
     def __init__(self) -> None:
         self.codes: dict[tuple[int, ...], int] = {}
         self._counts: dict[int, list[int]] = {}
+        self._index: dict[int, int] = {}
 
     def count(self, code: int, k: int) -> int:
         """E_k of the rooted tree with this code.
@@ -162,21 +164,34 @@ class ShapeTable:
         of the child's coloured subtree) are pairwise distinct.  Only
         children with one key (shape and arc direction) can clash, so
         E_k(v) is the product, over the keys of v's children, of
-        C(k * E_k(child), multiplicity), and a leaf has E_k = 1.  The
-        table lists children before parents, so one pass in code order
-        counts every shape with no recursion.
+        C(k * E_k(child), multiplicity), and a leaf has E_k = 1.  A key
+        tuple is sorted, so each run of equal entries is one factor, and
+        the product stops at the first factor 0.  The table lists
+        children before parents, so one pass in code order counts every
+        shape with no recursion.
         """
         counts = self._counts.setdefault(k, [])
+        if len(counts) == len(self.codes):
+            return counts[code]
         for key in islice(self.codes, len(counts), None):
-            counts.append(prod(comb(k * counts[c >> 1], r)
-                               for c, r in Counter(key).items()))
+            total, start = 1, 0
+            for end in range(1, len(key) + 1):
+                if end == len(key) or key[end] != key[start]:
+                    total *= comb(k * counts[key[start] >> 1], end - start)
+                    if not total:
+                        break
+                    start = end
+            counts.append(total)
         return counts[code]
 
     def index(self, code: int) -> int:
-        """Least width k with E_k(code) > 0: the rooted index."""
-        k = 1
-        while self.count(code, k) == 0:
-            k += 1
+        """Least width k with E_k(code) > 0: the rooted index, memoised."""
+        k = self._index.get(code)
+        if k is None:
+            k = 1
+            while self.count(code, k) == 0:
+                k += 1
+            self._index[code] = k
         return k
 
 
@@ -198,19 +213,60 @@ def count_optimal_rooted_colourings(rt: RootedTree, width: int | None = None) ->
     return shapes.count(code, shapes.index(code) if width is None else width)
 
 
-def oriented_tree_index(o: Orientation, shapes: ShapeTable | None = None,
-                        centre: int | None = None) -> int:
+def oriented_tree_index(o: Orientation, shapes: ShapeTable | None = None) -> int:
     """Distinguishing index of an oriented tree, counted.
 
     Every automorphism of an oriented tree fixes both centre vertices,
     since swapping the ends of a central edge would reverse its arc, so
     the index is the rooted index at a centre vertex with each arc's
-    direction in its child's key.  A sweep over the orientations of one
-    tree passes one table, to share codes and counts, and the centre.
+    direction in its child's key.  Calls that pass one table share its
+    codes and counts.
     """
     shapes = shapes or ShapeTable()
-    c = tree_center(o.base).vertices[0] if centre is None else centre
-    return shapes.index(rooted_shapes(o.base, c, shapes.codes, o.forward)[c])
+    hung = hang(o.base, tree_center(o.base).vertices[0])
+    return shapes.index(hung.codes(shapes.codes, o.vector)[hung.root])
+
+
+def oriented_tree_colouring(o: Orientation, width: int) -> Colouring | None:
+    """First distinguishing colouring of an oriented tree with width colours.
+
+    Candidates come in dprime's order, so at the index (which
+    oriented_tree_index counts) this is dprime's witness for a tree with
+    an edge; None when no candidate distinguishes.  Hung from a centre
+    vertex, which every automorphism fixes, a colouring distinguishes o
+    exactly when its rooted classes do (see _classes_distinct), so no
+    stabiliser search is made.
+    """
+    t = o.base
+    hung = hang(t, tree_center(t).vertices[0])
+    vec = o.vector
+    prior = _prior_twins(t.m, _twin_cliques(o))
+    for assignment in _candidate_strings(t.m, width, prior):
+        if _classes_distinct(hung, vec, assignment):
+            return Colouring(width, assignment)
+    return None
+
+
+def _classes_distinct(hung: HungTree, vec: int, assignment) -> bool:
+    """Whether, at every vertex, the children's keys are pairwise distinct.
+
+    A child's key is its arc's colour, its arc's direction and the class
+    of its coloured subtree, interned bottom-up as in HungTree.codes.
+    Two children with one key swap, subtrees and all, by a
+    root-preserving automorphism that keeps every colour; when no vertex
+    has two, such an automorphism maps each child to itself, so by
+    induction it is the identity.
+    """
+    keys: list[list[tuple[int, int, int]]] = [[] for _ in range(hung.n)]
+    table: dict[tuple, int] = {}
+    for v, p, i, below in hung.steps:
+        kv = keys[v]
+        if len(set(kv)) < len(kv):
+            return False
+        code = table.setdefault(tuple(sorted(kv)), len(table))
+        keys[p].append((assignment[i], vec >> i & 1 ^ below, code))
+    kr = keys[hung.root]
+    return len(set(kr)) == len(kr)
 
 
 def _edge_perm(x: Graph | Orientation, image: tuple[int, ...]) -> tuple[int, ...] | None:

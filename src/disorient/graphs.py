@@ -471,20 +471,55 @@ def tree_center(g: Graph) -> CenterInfo:
     return CenterInfo("edge", (u, v))
 
 
-def rooted_shapes(t: Graph, root: int, table: dict[tuple[int, ...], int],
-                  forward: tuple[bool, ...] | None = None) -> list[int]:
-    """AHU code of every vertex's subtree when the tree hangs from root.
+@dataclass(frozen=True)
+class HungTree:
+    """A tree hung from a root, ready to be coded under any orientation.
 
-    A code is an integer interned in table, which maps the sorted tuple
-    of a vertex's child keys to its code (a leaf's tuple is empty).  A
-    child's key is twice its code, plus one when its arc points to the
-    parent under forward, one direction flag per edge as in
-    Orientation.forward; without forward every key is even, as if each
-    arc pointed away from the root.  Two rooted subtrees are isomorphic,
-    arc directions included, exactly when their codes from one table are
-    equal.  Codes compare as integers however deep the tree, and a code
-    enters the table after its children's.
+    steps lists each non-root vertex as (vertex, parent, edge index,
+    below), children before parents (reversed BFS order); below is 1
+    when vertex < parent.  Edge i's bit in a direction vector (set when
+    the edge is reversed, as in Orientation.from_vector) XOR below is 1
+    exactly when its arc points to the parent.
     """
+
+    n: int
+    root: int
+    steps: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def away(self) -> int:
+        """Direction vector with every arc pointing away from the root."""
+        return sum(below << i for _, _, i, below in self.steps)
+
+    def codes(self, table: dict[tuple[int, ...], int], vec: int) -> list[int]:
+        """AHU code of every vertex's subtree under direction vector vec.
+
+        A code is an integer interned in table, which maps the sorted
+        tuple of a vertex's child keys to its code (a leaf's tuple is
+        empty).  A child's key is twice its code, plus one when its arc
+        points to the parent.  Two rooted subtrees are isomorphic, arc
+        directions included, exactly when their codes from one table are
+        equal.  Codes compare as integers however deep the tree, and a
+        code enters the table after its children's.
+        """
+        keys: list[list[int]] = [[] for _ in range(self.n)]
+        codes = [0] * self.n
+        intern = table.setdefault
+        leaf = intern((), len(table))
+        for v, p, i, below in self.steps:
+            kv = keys[v]
+            if kv:
+                kv.sort()
+                codes[v] = c = intern(tuple(kv), len(table))
+            else:
+                codes[v] = c = leaf
+            keys[p].append(2 * c + (vec >> i & 1 ^ below))
+        codes[self.root] = intern(tuple(sorted(keys[self.root])), len(table))
+        return codes
+
+
+def hang(t: Graph, root: int) -> HungTree:
+    """The tree t hung from root by one breadth-first search."""
     parent = [-1] * t.n
     parent[root] = root
     order = [root]
@@ -494,13 +529,21 @@ def rooted_shapes(t: Graph, root: int, table: dict[tuple[int, ...], int],
                 parent[w] = v
                 order.append(w)
     if t.m != t.n - 1 or len(order) != t.n:
-        raise ValueError("rooted_shapes requires a tree")
-    keys: list[list[int]] = [[] for _ in range(t.n)]
-    codes = [0] * t.n
-    for v in reversed(order):
-        codes[v] = table.setdefault(tuple(sorted(keys[v])), len(table))
-        if v != root:
-            p = parent[v]
-            toward = forward is not None and forward[t.index_of(p, v)] == (v < p)
-            keys[p].append(2 * codes[v] + toward)
-    return codes
+        raise ValueError("only a tree can be hung from a root")
+    return HungTree(t.n, root, tuple(
+        (v, parent[v], t.index_of(parent[v], v), int(v < parent[v]))
+        for v in reversed(order[1:])))
+
+
+def rooted_shapes(t: Graph, root: int, table: dict[tuple[int, ...], int],
+                  forward: tuple[bool, ...] | None = None) -> list[int]:
+    """AHU code of every vertex's subtree when the tree hangs from root.
+
+    Codes are those of HungTree.codes under forward, one direction flag
+    per edge as in Orientation.forward; without forward every arc points
+    away from the root, so every key is even.
+    """
+    hung = hang(t, root)
+    if forward is None:
+        return hung.codes(table, hung.away)
+    return hung.codes(table, Orientation(t, forward).vector)

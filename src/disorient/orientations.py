@@ -23,10 +23,29 @@ since the candidate order and the twin cliques are the same.
 
 The representatives of a tree are counted, not searched: every
 automorphism of an oriented tree fixes its centre vertices, so its
-index is a rooted count over directed shape classes, and D'(g) comes
-from the undirected count.  Only the two final extremes are searched
-for their witness colourings, from the counted width up, which finds
-the same first hit as a search from width 1.
+index is a rooted count over directed shape classes.  The tree is hung
+from a centre vertex once per sweep, and each representative's shape
+code comes straight from its direction vector.  The two final extremes
+get their witness colourings from the same rooted classes, in the
+search's candidate order at the counted width, so they are the search's
+first hits.
+
+A sweep stops once each extreme it was asked for reaches a proven
+bound, and no later representative can beat the first to reach it:
+
+- Floor, for every graph: a vertex with p pendant neighbours has at
+  least ceil(p/2) pendant arcs pointing the same way in any
+  orientation.  When p >= 2, swapping two of their leaves is an
+  automorphism of the orientation that swaps the two arcs, so a
+  distinguishing colouring gives those arcs pairwise distinct colours.
+  The least index is at least the largest such ceil(p/2), and at least 1.
+- Ceiling, for a tree: every automorphism of an oriented tree fixes the
+  first centre vertex c, so it is a root-preserving automorphism of the
+  undirected tree hung from c, and a colouring that breaks all of those
+  breaks it; the index is at most that rooted index.  The orientation
+  with every arc pointing away from c keeps every root-preserving
+  automorphism, so it reaches the bound.  For any other graph the
+  ceiling is D'(g), since Aut(o) lies in Aut(g).
 """
 
 from __future__ import annotations
@@ -34,9 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .constructions import tree_dprime
-from .distinguishing import Colouring, ShapeTable, dprime, oriented_tree_index
-from .graphs import Graph, Orientation, is_connected, is_tree, tree_center
+from .distinguishing import (Colouring, ShapeTable, dprime,
+                             oriented_tree_colouring)
+from .graphs import Graph, Orientation, hang, is_connected, is_tree, tree_center
 from .groups import automorphism_generators, edge_action
 
 DEFAULT_EDGE_CAP = 20
@@ -136,49 +155,65 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("orientation sweeps require a connected graph")
 
 
+def _pendant_floor(g: Graph) -> int:
+    """Largest ceil(p/2) over vertices with p pendant neighbours, at least 1.
+
+    No orientation's index is below it (see the module docstring).
+    """
+    return max([1] + [(sum(g.degree(w) == 1 for w in g.adj[v]) + 1) // 2
+                      for v in range(g.n)])
+
+
 def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True):
     """Least and greatest index over orbit representatives, with witnesses.
 
     Returns two (value, orientation, colouring) triples, None for an
     extreme not asked for; each keeps the first representative attaining
-    its extreme.  The walk ends once each extreme asked for is reached:
-    1 for the least, and for the greatest D'(g), which no orientation
-    exceeds (1 for a single edge).  Only representatives whose orbit size
-    is neither |Aut(g)| nor 1 are evaluated; the rigid case is tested
-    first, which covers a rigid graph, the single edge and m = 0.  A
-    tree's values, D'(g) included, are counted and carry no colouring, so
-    its extremes get their witnesses after the walk, from the search
-    started at the counted width.  Any other graph's values are searched,
-    D'(g) at most once.
+    its extreme.  The walk ends once each extreme asked for reaches its
+    bound: the least the pendant floor, the greatest the ceiling, which
+    is the rooted index of the undirected tree at its centre for a tree,
+    D'(g) for another graph and 1 for a single edge.  Each bound is
+    proven in the module docstring, so no representative past the stop
+    could beat the one kept.  Only representatives whose orbit size is
+    neither |Aut(g)| nor 1 are evaluated; the rigid case is tested
+    first, which covers a rigid graph, the single edge and m = 0.  An
+    orbit of size 1 has Aut(o) = Aut(g) and takes the ceiling.  A tree's
+    values are counted from direction vectors and carry no colouring, so
+    its extremes get their witnesses after the walk.  Any other graph's
+    values are searched, D'(g) at most once.
     """
-    if is_tree(g) and g.n > 2:
-        shapes = ShapeTable()
-        centre = tree_center(g).vertices[0]
+    def search(x):
+        r = dprime(x)
+        return r.value, r.witness
 
-        def evaluate(o):
-            return oriented_tree_index(o, shapes, centre), None
-        own = tree_dprime(g), None
+    if is_tree(g) and g.n > 2:
+        hung = hang(g, tree_center(g).vertices[0])
+        shapes = ShapeTable()
+
+        def evaluate(v):
+            return shapes.index(hung.codes(shapes.codes, v)[hung.root]), None
+        own = evaluate(hung.away)
     else:
-        def evaluate(x):
-            r = dprime(x)
-            return r.value, r.witness
-        own = evaluate(g) if greatest and g.n != 2 else None
-    bound = own[0] if own else 1
+        def evaluate(v):
+            return search(Orientation.from_vector(g, v))
+        own = search(g) if greatest and g.n != 2 else None
+    floor = _pendant_floor(g)
+    ceiling = own[0] if own else 1
     rigid = 1, Colouring.constant(g.m)
     lo = hi = None
     for v, size, order in _orbit_reps(g, edge_cap):
         if size == order:
             value, colouring = rigid
         elif size == 1:
-            own = own or evaluate(g)
+            own = own or search(g)
             value, colouring = own
         else:
-            value, colouring = evaluate(Orientation.from_vector(g, v))
+            value, colouring = evaluate(v)
         if lo is None or value < lo[0]:
             lo = value, v, colouring
         if hi is None or value > hi[0]:
             hi = value, v, colouring
-        if (not least or lo[0] == 1) and (not greatest or hi[0] == bound):
+        if (not least or lo[0] == floor) and (not greatest or hi[0] == ceiling):
             break
     assert lo is not None and hi is not None
     return (_witnessed(g, *lo) if least else None,
@@ -188,7 +223,7 @@ def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True
 def _witnessed(g: Graph, value: int, v: int, colouring: Colouring | None):
     o = Orientation.from_vector(g, v)
     if colouring is None:
-        colouring = dprime(o, min_width=value).witness
+        colouring = oriented_tree_colouring(o, value)
     return value, o, colouring
 
 

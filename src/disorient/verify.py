@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -452,6 +451,8 @@ def _verify_worker(args):
 def _run_tasks(worker, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    # imported here: multiprocessing costs every importing process memory
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(tasks) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from disorient import constructions
 from disorient import (
     CENTRAL_EDGE_FIXED,
     CENTRAL_EDGE_SWAPPED,
@@ -27,11 +28,13 @@ from disorient import (
     complete_bipartite_graph,
     complete_graph,
     connected_bipartite_graphs,
+    connected_graphs,
     cycle_graph,
     double_star,
     dprime,
     encode_graph6,
     hamiltonian_orientation,
+    hamiltonian_path,
     is_automorphism,
     is_distinguishing,
     is_rigid,
@@ -199,7 +202,6 @@ class TestHamiltonianOrientation:
         assert is_rigid(o)
 
     def test_default_path_is_search_result(self):
-        from disorient import hamiltonian_path
         g = cycle_graph(5)
         assert hamiltonian_orientation(g).arcs == \
             hamiltonian_orientation(g, hamiltonian_path(g)).arcs
@@ -213,6 +215,22 @@ class TestHamiltonianOrientation:
     def test_rejects_non_traceable(self):
         with pytest.raises(ValueError):
             hamiltonian_orientation(star_graph(3))
+
+    def test_counts_certify_rigidity(self):
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                path = hamiltonian_path(g)
+                if path is not None:
+                    assert is_rigid(hamiltonian_orientation(g, path)), \
+                        encode_graph6(g)
+
+    def test_arc_against_the_path_is_caught(self, monkeypatch):
+        # positions read backwards point every arc earlier on the path,
+        # so the reverse-order pass sees no out-neighbour's set yet
+        monkeypatch.setattr(constructions, "_positions",
+                            lambda path: {v: -i for i, v in enumerate(path)})
+        with pytest.raises(ConstructionError):
+            hamiltonian_orientation(path_graph(3), (0, 1, 2))
 
 
 class TestCompatibleOrientation:

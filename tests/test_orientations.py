@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from disorient import (
+    Colouring,
     EdgeCapError,
     Graph,
     Orientation,
@@ -17,18 +18,27 @@ from disorient import (
     encode_graph6,
     enumerate_orientations,
     find_rigid_orientation,
+    hang,
     is_distinguishing,
     is_rigid,
     od_extremes,
     od_minus,
     od_plus,
+    RootedTree,
+    is_tree,
+    oriented_tree_colouring,
     oriented_tree_index,
+    parse,
     path_graph,
+    rooted_index,
     star_graph,
+    tree_center,
+    tree_od_values,
     trees,
 )
 from disorient import orientations
-from disorient.orientations import _action_tables, _orbit_reps
+from disorient.distinguishing import _classes_distinct
+from disorient.orientations import _action_tables, _orbit_reps, _pendant_floor
 
 
 def _orbit_of(g, vec):
@@ -61,6 +71,83 @@ def _reference_sweep(g):
         if rigid is None and r.value == 1:
             rigid = o.vector
     return lo, hi, rigid
+
+
+# connected graphs on at most 6 vertices, then trees on 7 to 9
+BOUNDS_CORPUS = ([g for n in range(1, 7) for g in connected_graphs(n)]
+                 + [t for n in range(7, 10) for t in trees(n)])
+
+
+def _assert_sweeps_match_reference(g):
+    lo, hi, rigid = _reference_sweep(g)
+    r = od_extremes(g)
+    label = encode_graph6(g)
+    assert (r.od_minus, r.witness_min.vector, r.colouring_min) == lo, label
+    assert (r.od_plus, r.witness_max.vector, r.colouring_max) == hi, label
+    v, o, c = od_minus(g)
+    assert (v, o.vector, c) == lo, label
+    v, o, c = od_plus(g)
+    assert (v, o.vector, c) == hi, label
+    o = find_rigid_orientation(g)
+    assert (None if o is None else o.vector) == rigid, label
+
+
+def _ceiling(g):
+    """No orientation's index exceeds this, by the sweep's proof."""
+    if is_tree(g) and g.n > 2:
+        return rooted_index(RootedTree(g, tree_center(g).vertices[0]))
+    return 1 if g.n == 2 else dprime(g).value
+
+
+def _reps_walked(monkeypatch):
+    """Count of representatives the sweeps take from _orbit_reps."""
+    walked = []
+
+    def spy(g, edge_cap):
+        for rep in _orbit_reps(g, edge_cap):
+            walked.append(rep)
+            yield rep
+    monkeypatch.setattr(orientations, "_orbit_reps", spy)
+    return walked
+
+
+class TestSweepBounds:
+    def test_every_representative_within_bounds(self):
+        for g in BOUNDS_CORPUS:
+            floor, ceiling = _pendant_floor(g), _ceiling(g)
+            for o in enumerate_orientations(g):
+                assert floor <= dprime(o).value <= ceiling, \
+                    (encode_graph6(g), o.vector)
+
+    def test_tree_ceiling_reached_pointing_away_from_centre(self):
+        for n in range(3, 10):
+            for t in trees(n):
+                hung = hang(t, tree_center(t).vertices[0])
+                o = Orientation.from_vector(t, hung.away)
+                assert dprime(o).value == _ceiling(t) == od_plus(t)[0], \
+                    encode_graph6(t)
+
+    def test_floor_not_reached_walks_to_the_end(self, monkeypatch):
+        # the one tree on at most 10 vertices whose least index is above
+        # the floor: no bound stops the least, so the walk must finish
+        g = parse("graph6", "IqH@C?@?O")
+        assert (_pendant_floor(g), od_minus(g)[0]) == (1, 2)
+        _assert_sweeps_match_reference(g)
+        walked = _reps_walked(monkeypatch)
+        od_minus(g)
+        assert len(walked) == len(enumerate_orientations(g))
+
+    def test_walk_stops_at_each_bound(self, monkeypatch):
+        walked = _reps_walked(monkeypatch)
+        # K1,4: every orientation has two leaves the same way, so the
+        # floor is 2; the out-degrees 0, 1, 2 are walked, not 3 and 4
+        assert od_minus(star_graph(4))[0] == 2
+        assert len(walked) == 3
+        # a swapped central edge with a unique optimal half: D = 3, but
+        # the first representative already reaches the ceiling 2
+        walked.clear()
+        assert od_plus(parse("graph6", "Eq`?"))[0] == 2
+        assert len(walked) == 1
 
 
 class TestEnumerate:
@@ -180,21 +267,8 @@ class TestExtremes:
                 assert od_extremes(g).od_plus <= dprime(g).value, encode_graph6(g)
 
     def test_vs_reference_loop(self):
-        # connected graphs on at most 6 vertices, then trees on 7 to 9
-        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
-        graphs += [t for n in range(7, 10) for t in trees(n)]
-        for g in graphs:
-            lo, hi, rigid = _reference_sweep(g)
-            r = od_extremes(g)
-            label = encode_graph6(g)
-            assert (r.od_minus, r.witness_min.vector, r.colouring_min) == lo, label
-            assert (r.od_plus, r.witness_max.vector, r.colouring_max) == hi, label
-            v, o, c = od_minus(g)
-            assert (v, o.vector, c) == lo, label
-            v, o, c = od_plus(g)
-            assert (v, o.vector, c) == hi, label
-            o = find_rigid_orientation(g)
-            assert (None if o is None else o.vector) == rigid, label
+        for g in BOUNDS_CORPUS:
+            _assert_sweeps_match_reference(g)
 
     def test_disconnected_rejected(self):
         from disorient import parse
@@ -245,6 +319,13 @@ def oriented_trees(draw):
     return Orientation.from_vector(t, draw(st.integers(0, (1 << t.m) - 1)))
 
 
+@st.composite
+def relabelled_trees(draw):
+    """A random tree on 3..12 vertices under a random labelling."""
+    t = draw(oriented_trees()).base
+    return t.relabel(draw(st.permutations(range(t.n))))
+
+
 class TestCountedTreeSweep:
     """A tree's sweep counts; the generic search stays the check."""
 
@@ -254,10 +335,13 @@ class TestCountedTreeSweep:
                 shapes = ShapeTable()
                 for v, _, _ in _orbit_reps(t, 20):
                     o = Orientation.from_vector(t, v)
-                    want = dprime(o).value
-                    assert oriented_tree_index(o, shapes) == want, \
+                    want = dprime(o)
+                    assert oriented_tree_index(o, shapes) == want.value, \
                         (encode_graph6(t), v)
-                    assert oriented_tree_index(o) == want, (encode_graph6(t), v)
+                    assert oriented_tree_index(o) == want.value, \
+                        (encode_graph6(t), v)
+                    assert oriented_tree_colouring(o, want.value) == \
+                        want.witness, (encode_graph6(t), v)
 
     def test_extremes_vs_no_dedup_oracle(self):
         for n in range(3, 7):
@@ -269,9 +353,33 @@ class TestCountedTreeSweep:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(oriented_trees())
     def test_counted_index_vs_search(self, o):
-        assert oriented_tree_index(o) == dprime(o).value
+        want = dprime(o)
+        assert oriented_tree_index(o) == want.value
+        assert oriented_tree_colouring(o, want.value) == \
+            dprime(o, min_width=want.value).witness
 
-    def test_search_only_for_final_witnesses(self, monkeypatch):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(oriented_trees(), st.data())
+    def test_rooted_classes_vs_stabiliser_test(self, o, data):
+        t = o.base
+        width = data.draw(st.integers(1, 3))
+        colours = tuple(data.draw(st.lists(st.integers(1, width),
+                                           min_size=t.m, max_size=t.m)))
+        hung = hang(t, tree_center(t).vertices[0])
+        assert _classes_distinct(hung, o.vector, colours) == \
+            is_distinguishing(o, Colouring(width, colours))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(relabelled_trees())
+    def test_extremes_under_any_labelling(self, t):
+        # the ceiling must not depend on which way the labels run
+        r = od_extremes(t)
+        assert (r.od_minus, r.od_plus) == tree_od_values(t)[:2]
+        for o, c, value in ((r.witness_min, r.colouring_min, r.od_minus),
+                            (r.witness_max, r.colouring_max, r.od_plus)):
+            assert c.width == value and is_distinguishing(o, c)
+
+    def test_tree_sweep_makes_no_search(self, monkeypatch):
         calls = []
 
         def spy(x, **kwargs):
@@ -279,10 +387,8 @@ class TestCountedTreeSweep:
             return dprime(x, **kwargs)
         monkeypatch.setattr(orientations, "dprime", spy)
         for t in trees(8):
-            calls.clear()
             od_extremes(t)
-            assert len(calls) <= 2, encode_graph6(t)
-            assert all(isinstance(x, Orientation) for x in calls)
+        assert calls == []
 
 
 @st.composite

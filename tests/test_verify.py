@@ -1,6 +1,9 @@
 """Verification harness: reports, skips, caching, parallel equality."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,6 +139,17 @@ class TestVerifyTheorem:
         serial = verify_theorem(corpus, "cor3", jobs=1)
         parallel = verify_theorem(corpus, "cor3", jobs=2)
         assert _stable(serial) == _stable(parallel)
+
+    def test_import_loads_no_process_pool(self):
+        # multiprocessing costs every process memory; only jobs > 1 needs it
+        src = str(Path(verify.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        code = "import sys, disorient; print('multiprocessing' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout.strip()) == (0, "False"), \
+            done.stderr
 
     def test_report_json_shape(self):
         r = verify_theorem(_corpus(star_graph(3)), "cor6")
