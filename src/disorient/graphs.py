@@ -535,15 +535,11 @@ def hang(t: Graph, root: int) -> HungTree:
         for v in reversed(order[1:])))
 
 
-def rooted_shapes(t: Graph, root: int, table: dict[tuple[int, ...], int],
-                  forward: tuple[bool, ...] | None = None) -> list[int]:
+def rooted_shapes(t: Graph, root: int, table: dict[tuple[int, ...], int]) -> list[int]:
     """AHU code of every vertex's subtree when the tree hangs from root.
 
-    Codes are those of HungTree.codes under forward, one direction flag
-    per edge as in Orientation.forward; without forward every arc points
-    away from the root, so every key is even.
+    The tree is undirected: codes are those of HungTree.codes with every
+    arc pointing away from the root, so every key is even.
     """
     hung = hang(t, root)
-    if forward is None:
-        return hung.codes(table, hung.away)
-    return hung.codes(table, Orientation(t, forward).vector)
+    return hung.codes(table, hung.away)

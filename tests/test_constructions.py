@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from disorient import constructions
 from disorient import (
     CENTRAL_EDGE_FIXED,
     CENTRAL_EDGE_SWAPPED,
@@ -51,6 +50,7 @@ from disorient import (
     tree_od_values,
     trees,
 )
+from disorient import constructions
 
 
 def _class_swap_exists(g):

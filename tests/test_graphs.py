@@ -16,6 +16,7 @@ from disorient import (
     encode_digraph6,
     encode_graph6,
     hamiltonian_path,
+    hang,
     is_claw_free,
     is_connected,
     is_tree,
@@ -232,14 +233,16 @@ class TestRootedShapes:
         assert rooted_shapes(star_graph(3), 1, table)[1] == table[(6,)]
 
     def test_arc_directions_in_keys(self):
-        p = path_graph(3)
+        hung = hang(path_graph(3), 1)
         table = {}
-        # 0 -> 1 -> 2 seen from the middle: one arc in (odd key), one out
-        assert rooted_shapes(p, 1, table, (True, True))[1] == table[(0, 1)]
-        assert rooted_shapes(p, 1, table, (True, False))[1] == table[(1, 1)]
+        # vector 0 is 0 -> 1 -> 2; seen from the middle, one arc points in
+        # (odd key) and one out; vector 0b10 is 0 -> 1 <- 2
+        assert hung.codes(table, 0)[1] == table[(0, 1)]
+        assert hung.codes(table, 0b10)[1] == table[(1, 1)]
         # without directions every arc points away from the root
-        assert rooted_shapes(p, 1, table)[1] == \
-            rooted_shapes(p, 1, table, (False, True))[1] == table[(0, 0)]
+        assert hung.away == 0b01
+        assert rooted_shapes(path_graph(3), 1, table)[1] == \
+            hung.codes(table, 0b01)[1] == table[(0, 0)]
 
     def test_deep_path(self):
         # codes are integers, so depth costs no recursion when they compare

@@ -10,6 +10,7 @@ from disorient import (
     EdgeCapError,
     Graph,
     Orientation,
+    RootedTree,
     ShapeTable,
     automorphism_group,
     connected_graphs,
@@ -21,11 +22,10 @@ from disorient import (
     hang,
     is_distinguishing,
     is_rigid,
+    is_tree,
     od_extremes,
     od_minus,
     od_plus,
-    RootedTree,
-    is_tree,
     oriented_tree_colouring,
     oriented_tree_index,
     parse,
