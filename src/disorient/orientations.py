@@ -19,7 +19,9 @@ Aut(o) is the stabiliser of o's direction vector in Aut(g), so
 representative with no colouring search.  An orbit of size |Aut(g)| is
 rigid: index 1, constant colouring.  An orbit of size 1 has
 Aut(o) = Aut(g) and takes the graph's own result, witness included,
-since the candidate order and the twin cliques are the same.
+since the candidate order and the twin cliques are the same.  For a
+tree that result is the ceiling below: no automorphism of the tree
+then swaps its centre vertices, as a swap reverses the central arc.
 
 The representatives of a tree are counted, not searched: every
 automorphism of an oriented tree fixes its centre vertices, so its
