@@ -139,8 +139,9 @@ class TestSweepBounds:
 
     def test_walk_stops_at_each_bound(self, monkeypatch):
         walked = _reps_walked(monkeypatch)
-        # K1,4: every orientation has two leaves the same way, so the
-        # floor is 2; the out-degrees 0, 1, 2 are walked, not 3 and 4
+        # K1,4: every orientation has two leaf arcs the same way, so the
+        # floor is 2; the representatives with 0, 1 and 2 arcs reversed
+        # are walked, not those with 3 and 4
         assert od_minus(star_graph(4))[0] == 2
         assert len(walked) == 3
         # a swapped central edge with a unique optimal half: D = 3, but
