@@ -35,7 +35,8 @@ from .groups import (DEFAULT_GROUP_CAP, NOT_FIXED, POINTWISE, SETWISE_ONLY,
                      AutGroup, GroupSizeError, Permutation, arc_permutation,
                      arcs_of, automorphism_generators, automorphism_group,
                      automorphisms, fixed_set_status, is_automorphism,
-                     is_rigid, is_twisted, nontrivial_automorphism)
+                     is_rigid, is_twisted, nontrivial_automorphism,
+                     tree_automorphism_generators)
 from .orientations import (DEFAULT_EDGE_CAP, EdgeCapError, ODResult,
                            enumerate_orientations, find_rigid_orientation,
                            od_extremes, od_minus, od_plus)

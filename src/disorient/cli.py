@@ -37,7 +37,7 @@ CACHE_ENV = "DISORIENT_CACHE"
 
 
 def _read_graph_arg(value: str, fmt: str | None) -> Graph | Orientation:
-    if value.startswith("@"):
+    if value.startswith("@") and len(value) > 1:  # a bare "@" is graph6 of K1
         value = Path(value[1:]).read_text()
     text = value.strip()
     if fmt is not None:

@@ -20,7 +20,7 @@ from math import ceil
 from .distinguishing import (Colouring, RootedTree,
                              count_optimal_rooted_colourings, rooted_index)
 from .graphs import (CenterInfo, Graph, Orientation, bipartition,
-                     hamiltonian_path, is_claw_free, is_connected, is_tree,
+                     hamiltonian_path, is_claw_free, is_connected,
                      longest_cycle, rooted_shapes, tree_center)
 from .groups import (Permutation, arc_permutation, arcs_of, is_automorphism,
                      is_twisted, nontrivial_automorphism)
@@ -558,11 +558,12 @@ def _clawfree_cut_vertex(g: Graph, comps, cuts) -> ClawfreeTrace:
 
 def tree_case(t: Graph) -> TreeCase:
     """Classify a tree by its centre and the central-edge swap."""
-    if not is_tree(t):
-        raise ValueError("tree_case requires a tree")
+    try:
+        center = tree_center(t)
+    except ValueError:
+        raise ValueError("tree_case requires a tree") from None
     if t.n < 3:
         raise ValueError("tree_case requires at least three vertices")
-    center = tree_center(t)
     if center.kind == "vertex":
         return TreeCase(CENTRAL_VERTEX, center)
     a, b = center.vertices
@@ -591,14 +592,15 @@ def _component_rooted(t: Graph, root: int, avoid_edge: tuple[int, int]) -> Roote
     return RootedTree(sub, ids.index(root))
 
 
-def tree_od_values(t: Graph) -> tuple[int, int, TreeCase]:
+def tree_od_values(t: Graph, case: TreeCase | None = None) -> tuple[int, int, TreeCase]:
     """Orientation extremes of a tree from its case analysis alone.
 
     The centre-fixed cases give (ceil(D/2), D) for D the tree's
     distinguishing index; a swapped central edge with a unique optimal
-    half colouring lowers both by replacing D with D-1.
+    half colouring lowers both by replacing D with D-1.  The case is
+    worked out when not given.
     """
-    case = tree_case(t)
+    case = case or tree_case(t)
     d = tree_dprime(t, case)
     if case.kind == CENTRAL_EDGE_SWAPPED and case.unique_optimal:
         return ceil((d - 1) / 2), d - 1, case

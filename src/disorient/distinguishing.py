@@ -237,11 +237,21 @@ def oriented_tree_colouring(o: Orientation, width: int) -> Colouring | None:
     exactly when its rooted classes do (see _classes_distinct), so no
     stabiliser search is made.
     """
-    t = o.base
-    hung = hang(t, tree_center(t).vertices[0])
+    return hung_tree_colouring(hang(o.base, tree_center(o.base).vertices[0]),
+                               o, width)
+
+
+def hung_tree_colouring(hung: HungTree, o: Orientation,
+                        width: int) -> Colouring | None:
+    """oriented_tree_colouring with o's tree already hung from a centre vertex.
+
+    hung must be o's underlying tree hung from its first centre vertex,
+    as a sweep over the tree's orientations hangs it once for all.
+    """
+    m = o.base.m
     vec = o.vector
-    prior = _prior_twins(t.m, _twin_cliques(o))
-    for assignment in _candidate_strings(t.m, width, prior):
+    prior = _prior_twins(m, _twin_cliques(o))
+    for assignment in _candidate_strings(m, width, prior):
         if _classes_distinct(hung, vec, assignment):
             return Colouring(width, assignment)
     return None

@@ -377,11 +377,15 @@ def hamiltonian_path(g: Graph) -> tuple[int, ...] | None:
     """Lexicographically least Hamiltonian path, or None.
 
     Exhaustive backtracking; candidates are tried in ascending order so the
-    first complete path found is the least one.
+    first complete path found is the least one.  A path has two ends, and
+    every other vertex on it has two neighbours, so with three or more
+    vertices of degree at most 1 there is none to search for.
     """
     n = g.n
     if n == 1:
         return (0,)
+    if sum(len(a) <= 1 for a in g.adj) >= 3:
+        return None
     order = [sorted(g.adj[v]) for v in range(n)]
     path: list[int] = []
 
@@ -450,19 +454,34 @@ def analyze(g: Graph) -> StructureReport:
 
 
 def tree_center(g: Graph) -> CenterInfo:
-    """Centre of a tree by repeated leaf stripping."""
-    if not is_tree(g):
+    """Centre of a tree by repeated leaf stripping.
+
+    Raises ValueError unless g is a tree, which the stripping itself
+    tells: with m = n - 1, a graph that is not a tree has a cycle, whose
+    vertices never become leaves, so a round finds no leaf while more
+    than two vertices remain.
+    """
+    if g.m != g.n - 1:
         raise ValueError("tree_center requires a tree")
-    alive = set(range(g.n))
-    deg = [g.degree(v) for v in range(g.n)]
-    while len(alive) > 2:
-        leaves = [v for v in alive if deg[v] <= 1]
+    deg = [len(a) for a in g.adj]
+    stripped = [False] * g.n
+    leaves = [v for v in range(g.n) if deg[v] <= 1]
+    left = g.n
+    while left > 2:
+        if not leaves:
+            raise ValueError("tree_center requires a tree")
+        left -= len(leaves)
         for v in leaves:
-            alive.remove(v)
+            stripped[v] = True
+        inner = []
+        for v in leaves:
             for w in g.adj[v]:
-                if w in alive:
+                if not stripped[w]:
                     deg[w] -= 1
-    rest = sorted(alive)
+                    if deg[w] == 1:
+                        inner.append(w)
+        leaves = inner
+    rest = [v for v in range(g.n) if not stripped[v]]
     if len(rest) == 1:
         return CenterInfo("vertex", (rest[0],))
     u, v = rest

@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator
 
-from .graphs import Graph, Orientation
+from .graphs import CenterInfo, Graph, HungTree, Orientation, hang, tree_center
 from .search import codes_for, find_maps, nontrivial_map, strong_generators
 
 DEFAULT_GROUP_CAP = 10 ** 6
@@ -148,6 +148,63 @@ def automorphism_generators(x: Graph | Orientation) -> tuple[tuple[Permutation, 
     """A strong generating set of the automorphism group, and its order."""
     images, order = strong_generators(codes_for(x))
     return tuple(Permutation(img) for img in images), order
+
+
+def tree_automorphism_generators(
+        t: Graph, *, centre: CenterInfo | None = None,
+        hung: HungTree | None = None) -> tuple[tuple[Permutation, ...], int]:
+    """Generators of a tree's automorphism group and its order, with no search.
+
+    Every automorphism of a tree fixes its centre.  Hung from the first
+    centre vertex a, the automorphisms fixing a act on each vertex's
+    children by permuting runs of children with equal AHU codes, each
+    child carrying its subtree along, and within each subtree by its own
+    such automorphisms; so they are generated by one swap per pair of
+    adjacent siblings, in code order, with equal codes.  A swap maps one
+    subtree onto the other by pairing children in code order, all the
+    way down, and is its own inverse.  Their order is the product of
+    (run length)! over all runs.  A centre edge (a, b) is swapped by
+    some automorphism exactly when its two halves have equal codes; then
+    one such swap, built the same way, doubles the order.  centre and
+    hung, when given, must be tree_center(t) and t hung from the first
+    centre vertex; raises ValueError unless t is a tree.
+    """
+    centre = centre or tree_center(t)
+    hung = hung or hang(t, centre.vertices[0])
+    codes = hung.codes({}, hung.away)
+    kids: list[list[int]] = [[] for _ in range(hung.n)]
+    for v, p, _, _ in hung.steps:
+        kids[p].append(v)
+    for k in kids:
+        k.sort(key=codes.__getitem__)
+
+    def swap(x: int, y: int, x_kids: list[int]) -> Permutation:
+        image = list(range(hung.n))
+        pairs = [(x, y, x_kids)]
+        while pairs:
+            u, w, u_kids = pairs.pop()
+            image[u], image[w] = w, u
+            pairs.extend((cu, cw, kids[cu]) for cu, cw in zip(u_kids, kids[w]))
+        return Permutation(tuple(image))
+
+    gens = []
+    order = 1
+    for k in kids:
+        run = 1
+        for x, y in zip(k, k[1:]):
+            if codes[x] == codes[y]:
+                gens.append(swap(x, y, kids[x]))
+                run += 1
+                order *= run
+            else:
+                run = 1
+    if centre.kind == "edge":
+        a, b = centre.vertices
+        half = [c for c in kids[a] if c != b]
+        if [codes[c] for c in half] == [codes[c] for c in kids[b]]:
+            gens.append(swap(a, b, half))
+            order *= 2
+    return tuple(gens), order
 
 
 def nontrivial_automorphism(x: Graph | Orientation) -> Permutation | None:

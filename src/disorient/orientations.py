@@ -9,7 +9,7 @@ computed here.
 
 Orbits are always exact, whatever the size of the automorphism group,
 with no fallback: each orbit is everything its least vector reaches
-under the actions of a strong generating set of the group.  It is
+under the actions of a generating set of the group.  It is
 walked only when the sweep gets to it, so a sweep that stops early
 never pays for the orbits it skips.  Sweeps refuse to start above a
 configurable edge cap rather than silently take exponential time.
@@ -31,6 +31,18 @@ code comes straight from its direction vector.  The two final extremes
 get their witness colourings from the same rooted classes, in the
 search's candidate order at the counted width, so they are the search's
 first hits.
+
+A tree's group needs no search either (groups.tree_automorphism_generators).
+Every automorphism fixes the centre, so hung from the first centre
+vertex a, those fixing a permute each vertex's children within runs of
+equal AHU codes, carrying subtrees along; swapping adjacent siblings of
+a run, subtree onto subtree with children paired in code order, yields
+every such permutation, and inside each subtree the same argument
+recurses.  So |Aut| is the product of (run length)! over all runs,
+times 2 when the centre is an edge (a, b) whose halves have equal codes,
+where one more swap of the halves generates the rest.  The orbits, and
+so every sweep's output, depend only on the group, not on which
+generators stand for it.
 
 A sweep stops once each extreme it was asked for reaches a proven
 bound, and no later representative can beat the first to reach it:
@@ -55,10 +67,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .distinguishing import (Colouring, ShapeTable, dprime,
-                             oriented_tree_colouring)
-from .graphs import Graph, Orientation, hang, is_connected, is_tree, tree_center
-from .groups import automorphism_generators, edge_action
+from .distinguishing import Colouring, ShapeTable, dprime, hung_tree_colouring
+from .graphs import Graph, HungTree, Orientation, hang, is_connected, tree_center
+from .groups import (Permutation, automorphism_generators, edge_action,
+                     tree_automorphism_generators)
 
 DEFAULT_EDGE_CAP = 20
 
@@ -113,16 +125,20 @@ def _action_tables(m: int, actions):
     return lo_bits, tables
 
 
-def _orbit_reps(g: Graph, edge_cap: int) -> Iterator[tuple[int, int, int]]:
+def _orbit_reps(g: Graph, edge_cap: int,
+                group: tuple[tuple[Permutation, ...], int] | None = None,
+                ) -> Iterator[tuple[int, int, int]]:
     """(least vector, orbit size, |Aut(g)|) of each orbit under Aut(g).
 
     Vectors come in ascending order.  Each orbit is closed over the
     generators' actions when the walk reaches its least vector, before
-    that vector is handed out.
+    that vector is handed out.  group is Aut(g) as generators and order,
+    found by the generic search when not given; the output depends only
+    on the group, not on which generators stand for it.
     """
     if g.m > edge_cap:
         raise EdgeCapError(g.m, edge_cap)
-    gens, order = automorphism_generators(g)
+    gens, order = group or automorphism_generators(g)
     lo_bits, tables = _action_tables(g.m, [edge_action(g, p) for p in gens])
     mask = (1 << lo_bits) - 1
     seen = bytearray(1 << g.m)
@@ -181,15 +197,20 @@ def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True
     first, which covers a rigid graph, the single edge and m = 0.  An
     orbit of size 1 has Aut(o) = Aut(g) and takes the ceiling.  A tree's
     values are counted from direction vectors and carry no colouring, so
-    its extremes get their witnesses after the walk.  Any other graph's
-    values are searched, D'(g) at most once.
+    its extremes get their witnesses after the walk; the tree is hung
+    from its centre once, for its group, its counts and its witnesses.
+    Any other graph's values are searched, D'(g) at most once.  g must
+    be connected, so m = n - 1 tells a tree.
     """
     def search(x):
         r = dprime(x)
         return r.value, r.witness
 
-    if is_tree(g) and g.n > 2:
-        hung = hang(g, tree_center(g).vertices[0])
+    hung = group = None
+    if g.m == g.n - 1 and g.n > 2:
+        centre = tree_center(g)
+        hung = hang(g, centre.vertices[0])
+        group = tree_automorphism_generators(g, centre=centre, hung=hung)
         shapes = ShapeTable()
 
         def evaluate(v):
@@ -203,7 +224,7 @@ def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True
     ceiling = own[0] if own else 1
     rigid = 1, Colouring.constant(g.m)
     lo = hi = None
-    for v, size, order in _orbit_reps(g, edge_cap):
+    for v, size, order in _orbit_reps(g, edge_cap, group):
         if size == order:
             value, colouring = rigid
         elif size == 1:
@@ -218,14 +239,15 @@ def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True
         if (not least or lo[0] == floor) and (not greatest or hi[0] == ceiling):
             break
     assert lo is not None and hi is not None
-    return (_witnessed(g, *lo) if least else None,
-            _witnessed(g, *hi) if greatest else None)
+    return (_witnessed(g, hung, *lo) if least else None,
+            _witnessed(g, hung, *hi) if greatest else None)
 
 
-def _witnessed(g: Graph, value: int, v: int, colouring: Colouring | None):
+def _witnessed(g: Graph, hung: HungTree | None, value: int, v: int,
+               colouring: Colouring | None):
     o = Orientation.from_vector(g, v)
     if colouring is None:
-        colouring = oriented_tree_colouring(o, value)
+        colouring = hung_tree_colouring(hung, o, value)
     return value, o, colouring
 
 

@@ -35,11 +35,11 @@ from .complete_bipartite import (BOUNDARY, as_complete_bipartite, dprime_kmn,
 from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
                             clawfree_rigid_orientation_trace,
                             compatible_orientation, hamiltonian_orientation,
-                            tree_od_values)
+                            tree_case, tree_od_values)
 from .distinguishing import Colouring, dprime, is_distinguishing
 from .graphs import (FormatError, Graph, bipartition, encode_digraph6,
                      encode_graph6, hamiltonian_path, is_claw_free,
-                     is_connected, is_tree, parse)
+                     is_connected, parse)
 from .groups import (NOT_FIXED, automorphism_generators, automorphism_group,
                      edge_action, fixed_set_status, is_automorphism,
                      is_rigid, is_twisted)
@@ -216,15 +216,16 @@ def _check_cor3(g: Graph, cap: int):
 def _check_tree(g: Graph, cap: int, *, swapped: bool):
     if not is_connected(g):
         return _skip("disconnected")
-    if not is_tree(g):
+    if g.m != g.n - 1:
         return _skip("not a tree")
     if g.n < 3:
         return _skip("fewer than three vertices")
-    lo, hi, case = tree_od_values(g)
+    case = tree_case(g)
     if (case.kind == CENTRAL_EDGE_SWAPPED) != swapped:
         return _skip(f"centre case is {case.kind}")
     if g.m > cap:
         return _skip(f"edge count {g.m} over cap {cap}")
+    lo, hi, _ = tree_od_values(g, case)
     res = od_extremes(g, edge_cap=cap)
     got = (res.od_minus, res.od_plus)
     if got != (lo, hi):

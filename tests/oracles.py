@@ -126,6 +126,14 @@ def brute_traceable(g: Graph) -> bool:
                for p in permutations(range(g.n)))
 
 
+def brute_least_hamiltonian_path(g: Graph) -> tuple[int, ...] | None:
+    """First vertex sequence, in lexicographic order, that is a path."""
+    for p in permutations(range(g.n)):
+        if all(g.has_edge(p[i], p[i + 1]) for i in range(g.n - 1)):
+            return p
+    return None
+
+
 def brute_tree_centre(t: Graph) -> tuple[int, ...]:
     """Vertices of least eccentricity, via pairwise BFS distances."""
     def ecc(v: int) -> int:

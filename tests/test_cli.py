@@ -64,6 +64,17 @@ class TestInputForms:
         code, j = run_json(capsys, ["dprime", f"@{p}"])
         assert (code, j["dprime"]) == (0, 3)
 
+    def test_bare_at_is_k1(self, capsys):
+        # "@" is the graph6 of the one-vertex graph, not a file reference
+        code, j = run_json(capsys, ["aut", "@"])
+        assert (code, j["n"], j["order"]) == (0, 1, 1)
+        code, j = run_json(capsys, ["od", "@"])
+        assert (code, j["od_minus"], j["od_plus"]) == (0, 1, 1)
+
+    def test_at_missing_file_exits_2(self, capsys, tmp_path):
+        assert main(["od", f"@{tmp_path / 'missing.g6'}"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_edgelist_autodetect(self, capsys):
         code, j = run_json(capsys, ["dprime", "3\n0 1\n1 2"])
         assert (code, j["dprime"]) == (0, 2)

@@ -173,6 +173,13 @@ class TestStructure:
                 assert (hamiltonian_path(g) is not None) == \
                     oracles.brute_traceable(g), encode_graph6(g)
 
+    def test_least_path_vs_brute_force(self):
+        # includes every graph the degree screen rejects unsearched
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                assert hamiltonian_path(g) == \
+                    oracles.brute_least_hamiltonian_path(g), encode_graph6(g)
+
     def test_longest_cycle_vs_oracle(self):
         for n in range(3, 7):
             for g in connected_graphs(n):
@@ -204,6 +211,18 @@ class TestTreeCenter:
     def test_non_tree_rejected(self):
         with pytest.raises(ValueError):
             tree_center(cycle_graph(4))
+
+    def test_non_tree_with_tree_edge_count_rejected(self):
+        # m = n - 1, but a triangle and an isolated vertex
+        with pytest.raises(ValueError):
+            tree_center(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]))
+        with pytest.raises(ValueError):
+            tree_center(Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (2, 4), (4, 5)]))
+
+    def test_forest_rejected(self):
+        # leaf stripping alone would find a "centre" of an edge plus a path
+        with pytest.raises(ValueError):
+            tree_center(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]))
 
     def test_vs_eccentricity_oracle(self):
         for n in range(2, 10):

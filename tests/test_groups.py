@@ -3,9 +3,12 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from disorient import (
+    Graph,
     NOT_FIXED,
     POINTWISE,
     SETWISE_ONLY,
@@ -28,7 +31,12 @@ from disorient import (
     nontrivial_automorphism,
     path_graph,
     star_graph,
+    tree_automorphism_generators,
+    tree_center,
+    trees,
 )
+from disorient.graphs import hang
+from disorient.orientations import _orbit_reps
 from disorient.search import find_maps, graph_codes, nontrivial_map, orientation_codes
 
 
@@ -123,6 +131,84 @@ class TestAutomorphismGroup:
         p = nontrivial_automorphism(cycle_graph(4))
         assert is_automorphism(cycle_graph(4), p)
         assert not p.is_identity
+
+
+def _closure(n, gens):
+    """Every element of the group the generators generate."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        img = frontier.pop()
+        for p in gens:
+            nxt = tuple(p.image[v] for v in img)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def _assert_tree_group(t):
+    gens, order = tree_automorphism_generators(t)
+    want_gens, want_order = automorphism_generators(t)
+    assert order == want_order, encode_graph6(t)
+    assert all(is_automorphism(t, p) for p in gens), encode_graph6(t)
+    if t.m <= 11:
+        got = list(_orbit_reps(t, 20, (gens, order)))
+        assert got == list(_orbit_reps(t, 20, (want_gens, want_order))), \
+            encode_graph6(t)
+
+
+@st.composite
+def relabelled_trees(draw):
+    """A random tree on 3..14 vertices under a random labelling."""
+    n = draw(st.integers(3, 14))
+    t = Graph.from_edges(n, [(draw(st.integers(0, v - 1)), v)
+                             for v in range(1, n)])
+    return t.relabel(draw(st.permutations(range(n))))
+
+
+class TestTreeGenerators:
+    """A tree's group in closed form, against the generic search."""
+
+    def test_every_tree(self):
+        for n in range(3, 13):
+            for t in trees(n):
+                _assert_tree_group(t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relabelled_trees())
+    def test_under_any_labelling(self, t):
+        _assert_tree_group(t)
+
+    def test_generators_generate_the_whole_group(self):
+        # the order comes from the formula; the closure shows the
+        # generators reach all of it, and the brute force that it is Aut(t)
+        for n in range(1, 9):
+            for t in trees(n):
+                gens, order = tree_automorphism_generators(t)
+                group = _closure(t.n, gens)
+                assert len(group) == order, encode_graph6(t)
+                if n <= 7:
+                    assert group == set(oracles.brute_automorphism_images(t)), \
+                        encode_graph6(t)
+
+    def test_small_trees_and_given_hanging(self):
+        assert tree_automorphism_generators(path_graph(1)) == ((), 1)
+        gens, order = tree_automorphism_generators(path_graph(2))
+        assert ([p.image for p in gens], order) == ([(1, 0)], 2)
+        assert tree_automorphism_generators(star_graph(6))[1] == factorial(6)
+        for t in trees(9):
+            centre = tree_center(t)
+            hung = hang(t, centre.vertices[0])
+            assert tree_automorphism_generators(t, centre=centre, hung=hung) \
+                == tree_automorphism_generators(t)
+
+    def test_non_tree_rejected(self):
+        with pytest.raises(ValueError):
+            tree_automorphism_generators(cycle_graph(4))
+        with pytest.raises(ValueError):
+            tree_automorphism_generators(
+                Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]))
 
 
 class TestArcPermutation:

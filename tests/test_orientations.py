@@ -103,8 +103,8 @@ def _reps_walked(monkeypatch):
     """Count of representatives the sweeps take from _orbit_reps."""
     walked = []
 
-    def spy(g, edge_cap):
-        for rep in _orbit_reps(g, edge_cap):
+    def spy(g, edge_cap, group=None):
+        for rep in _orbit_reps(g, edge_cap, group):
             walked.append(rep)
             yield rep
     monkeypatch.setattr(orientations, "_orbit_reps", spy)

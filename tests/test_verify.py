@@ -110,6 +110,30 @@ class TestVerifyTheorem:
         assert {s.graph6 for s in fixed.skipped} == {encode_graph6(path_graph(4))}
         assert {s.graph6 for s in swapped.skipped} == {encode_graph6(star_graph(3))}
 
+    def test_tree_check_skip_reasons(self):
+        corpus = _corpus(
+            Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),  # m = n - 1
+            cycle_graph(4), path_graph(1), path_graph(2),
+            star_graph(3),  # central vertex
+            path_graph(4),  # swapped central edge
+            Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)]),  # fixed
+            star_graph(12))
+        want = {
+            "cor6": ["disconnected", "not a tree", "fewer than three vertices",
+                     "fewer than three vertices",
+                     "centre case is central_edge_swapped",
+                     "edge count 12 over cap 10"],
+            "thm7": ["disconnected", "not a tree", "fewer than three vertices",
+                     "fewer than three vertices",
+                     "centre case is central_vertex",
+                     "centre case is central_edge_fixed",
+                     "centre case is central_vertex"],
+        }
+        for tid, reasons in want.items():
+            r = verify_theorem(corpus, tid, edge_cap=10)
+            assert [s.reason for s in r.skipped] == reasons, tid
+            assert r.ok and r.passed == len(corpus) - len(reasons)
+
     def test_kmn(self):
         r = verify_theorem(
             _corpus(complete_bipartite_graph(2, 3), cycle_graph(4),
