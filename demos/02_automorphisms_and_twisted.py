@@ -6,14 +6,13 @@ permutation with its own reverse.  Twisted maps are exactly the ones no
 orientation can keep.
 """
 
-from disorient import (Permutation, arc_permutation, automorphism_group,
-                       cycle_graph, fixed_set_status, is_twisted, path_graph,
-                       star_graph)
+from disorient import (Permutation, arc_permutation, automorphism_generators,
+                       automorphisms, cycle_graph, fixed_set_status,
+                       is_twisted, path_graph, star_graph)
 
 c4 = cycle_graph(4)
-grp = automorphism_group(c4)
-print("4-cycle group order:", grp.order)
-for p in grp:
+print("4-cycle group order:", automorphism_generators(c4)[1])
+for p in automorphisms(c4):
     print("  ", p.image, "cycles", p.cycles(), "order", p.order())
 
 rotation = Permutation((1, 2, 3, 0))
@@ -28,7 +27,8 @@ print("rotation twisted:", is_twisted(c4, rotation))
 p3 = path_graph(3)
 print("path reversal twisted:", is_twisted(p3, Permutation((2, 1, 0))))
 
-star = star_graph(3)
-centre_status = fixed_set_status(automorphism_group(star), {0})
-leaves_status = fixed_set_status(automorphism_group(star), {1, 2})
+# generators suffice: the group fixes a set exactly when each of them does
+star_gens = automorphism_generators(star_graph(3))[0]
+centre_status = fixed_set_status(star_gens, {0})
+leaves_status = fixed_set_status(star_gens, {1, 2})
 print("star centre:", centre_status, "| two leaves:", leaves_status)

@@ -19,7 +19,7 @@ from .constructions import (CENTRAL_EDGE_FIXED, CENTRAL_EDGE_SWAPPED,
                             compatible_orientation, hamiltonian_orientation,
                             layered_orientation, merge_colouring,
                             natural_bipartition, split_colouring, tree_case,
-                            tree_dprime, tree_od_values)
+                            tree_od_values)
 from .distinguishing import (Colouring, DprimeResult, RootedTree, ShapeTable,
                              colour_preserving_automorphism,
                              count_optimal_rooted_colourings, dprime,
@@ -28,9 +28,9 @@ from .distinguishing import (Colouring, DprimeResult, RootedTree, ShapeTable,
                              preserves, rooted_index)
 from .graphs import (CenterInfo, FormatError, Graph, HungTree, Orientation,
                      StructureReport, analyze, bipartition, encode_digraph6,
-                     encode_graph6, hamiltonian_path, hang, is_claw_free,
-                     is_connected, is_tree, longest_cycle, parse,
-                     rooted_shapes, tree_center)
+                     encode_graph6, hamiltonian_path, hang, hang_centre,
+                     is_claw_free, is_connected, is_tree, longest_cycle,
+                     parse, tree_center)
 from .groups import (DEFAULT_GROUP_CAP, NOT_FIXED, POINTWISE, SETWISE_ONLY,
                      AutGroup, GroupSizeError, Permutation, arc_permutation,
                      arcs_of, automorphism_generators, automorphism_group,

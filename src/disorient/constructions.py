@@ -7,9 +7,10 @@ identical orientations.  Constructions whose correctness rests on a
 claimed invariant verify that invariant at the end and raise
 ConstructionError with a diagnostic rather than return a bad result.
 
-The tree case analysis counts rather than searches: the central-edge
-swap is an equality of AHU shape codes, and every index it needs is a
-rooted index counted over the tree's shape classes.
+The tree case analysis counts rather than searches.  It hangs the tree
+once from its centre (graphs.hang_centre): the central-edge swap is an
+equality of the two halves' AHU shape codes (HungTree.halves), and the
+index D is a rooted index counted over the same shape classes.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .distinguishing import (Colouring, RootedTree,
-                             count_optimal_rooted_colourings, rooted_index)
+from .distinguishing import Colouring, ShapeTable
 from .graphs import (CenterInfo, Graph, Orientation, bipartition,
-                     hamiltonian_path, is_claw_free, is_connected,
-                     longest_cycle, rooted_shapes, tree_center)
+                     hamiltonian_path, hang_centre, is_claw_free,
+                     is_connected, longest_cycle)
 from .groups import (Permutation, arc_permutation, arcs_of, is_automorphism,
                      is_twisted, nontrivial_automorphism)
 
@@ -110,19 +110,19 @@ class PairColouring:
 
 @dataclass(frozen=True)
 class TreeCase:
-    """How a tree's centre sits under its automorphisms.
+    """How a tree's centre sits under its automorphisms, and its index.
 
-    unique_optimal and rooted_half are filled only in the swapped case:
-    the half is one component of the tree minus the central edge, rooted
-    at its central-edge endpoint, and unique_optimal records whether its
-    optimal distinguishing colouring is unique up to root-preserving
-    automorphisms.
+    dprime is the tree's distinguishing index D.  unique_optimal is
+    filled only in the swapped case: a half is one component of the
+    tree minus the central edge, rooted at its central-edge endpoint,
+    and unique_optimal records whether its optimal distinguishing
+    colouring is unique up to root-preserving automorphisms.
     """
 
     kind: str
     center: CenterInfo
+    dprime: int
     unique_optimal: bool | None = None
-    rooted_half: RootedTree | None = None
 
 
 @dataclass(frozen=True)
@@ -557,67 +557,43 @@ def _clawfree_cut_vertex(g: Graph, comps, cuts) -> ClawfreeTrace:
 
 
 def tree_case(t: Graph) -> TreeCase:
-    """Classify a tree by its centre and the central-edge swap."""
+    """Classify a tree by its centre and the central-edge swap, and count D.
+
+    The tree is hung once from its first centre vertex a, and every
+    answer is counted in one ShapeTable.  When no automorphism moves a,
+    D is the rooted index at a.  A centre edge (a, b) is swapped exactly
+    when its two halves have one shape (HungTree.halves), and then it is
+    broken exactly when the halves get inequivalent colourings, so D is
+    the least width with at least two classes for a half: its rooted
+    index r when the optimal class is not unique, else r + 1, since one
+    more colour always adds a class.
+    """
     try:
-        center = tree_center(t)
+        hung = hang_centre(t)
     except ValueError:
         raise ValueError("tree_case requires a tree") from None
     if t.n < 3:
         raise ValueError("tree_case requires at least three vertices")
-    if center.kind == "vertex":
-        return TreeCase(CENTRAL_VERTEX, center)
-    a, b = center.vertices
-    # an automorphism swaps a and b exactly when their halves have one shape
-    table: dict[tuple[int, ...], int] = {}
-    if rooted_shapes(t, a, table)[b] != rooted_shapes(t, b, table)[a]:
-        return TreeCase(CENTRAL_EDGE_FIXED, center)
-    half = _component_rooted(t, a, avoid_edge=(a, b))
-    unique = count_optimal_rooted_colourings(half) == 1
-    return TreeCase(CENTRAL_EDGE_SWAPPED, center, unique_optimal=unique,
-                    rooted_half=half)
+    shapes = ShapeTable()
+    codes = hung.codes(shapes.codes, hung.away)
+    if hung.centre.kind == "vertex":
+        return TreeCase(CENTRAL_VERTEX, hung.centre, shapes.index(codes[hung.root]))
+    half_a, half_b = hung.halves(shapes.codes, codes)
+    if half_a != half_b:
+        return TreeCase(CENTRAL_EDGE_FIXED, hung.centre,
+                        shapes.index(codes[hung.root]))
+    r = shapes.index(half_b)
+    unique = shapes.count(half_b, r) == 1
+    return TreeCase(CENTRAL_EDGE_SWAPPED, hung.centre, r + unique, unique)
 
 
-def _component_rooted(t: Graph, root: int, avoid_edge: tuple[int, int]) -> RootedTree:
-    banned = frozenset(avoid_edge)
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in t.adj[v]:
-            if {v, w} == set(banned) or w in seen:
-                continue
-            seen.add(w)
-            stack.append(w)
-    sub, ids = t.induced(sorted(seen))
-    return RootedTree(sub, ids.index(root))
-
-
-def tree_od_values(t: Graph, case: TreeCase | None = None) -> tuple[int, int, TreeCase]:
+def tree_od_values(t: Graph) -> tuple[int, int, TreeCase]:
     """Orientation extremes of a tree from its case analysis alone.
 
     The centre-fixed cases give (ceil(D/2), D) for D the tree's
     distinguishing index; a swapped central edge with a unique optimal
-    half colouring lowers both by replacing D with D-1.  The case is
-    worked out when not given.
+    half colouring lowers both by replacing D with D-1.
     """
-    case = case or tree_case(t)
-    d = tree_dprime(t, case)
-    if case.kind == CENTRAL_EDGE_SWAPPED and case.unique_optimal:
-        return ceil((d - 1) / 2), d - 1, case
+    case = tree_case(t)
+    d = case.dprime - bool(case.unique_optimal)  # set only when swapped
     return ceil(d / 2), d, case
-
-
-def tree_dprime(t: Graph, case: TreeCase | None = None) -> int:
-    """The tree's distinguishing index D, counted from its case.
-
-    When no automorphism moves the first centre vertex, D is the rooted
-    index there.  A swapped central edge is broken exactly when the two
-    halves get inequivalent colourings, so D is the least width with at
-    least two classes for the half: its rooted index r when the optimal
-    class is not unique, else r + 1, since one more colour always adds a
-    class.  The case is worked out when not given.
-    """
-    case = case or tree_case(t)
-    if case.kind != CENTRAL_EDGE_SWAPPED:
-        return rooted_index(RootedTree(t, case.center.vertices[0]))
-    return rooted_index(case.rooted_half) + case.unique_optimal

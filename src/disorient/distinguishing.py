@@ -30,8 +30,8 @@ from itertools import islice
 from math import comb
 from typing import Iterator
 
-from .graphs import (Graph, HungTree, Orientation, hang, is_connected, is_tree,
-                     rooted_shapes, tree_center)
+from .graphs import (Graph, HungTree, Orientation, hang, hang_centre,
+                     is_connected, is_tree)
 from .groups import Permutation
 from .search import codes_for, nontrivial_map
 
@@ -195,10 +195,15 @@ class ShapeTable:
         return k
 
 
+def _root_code(rt: RootedTree, shapes: ShapeTable) -> int:
+    hung = hang(rt.tree, rt.root)
+    return hung.codes(shapes.codes, hung.away)[rt.root]
+
+
 def rooted_index(rt: RootedTree) -> int:
     """Least width breaking every non-trivial root-preserving automorphism."""
     shapes = ShapeTable()
-    return shapes.index(rooted_shapes(rt.tree, rt.root, shapes.codes)[rt.root])
+    return shapes.index(_root_code(rt, shapes))
 
 
 def count_optimal_rooted_colourings(rt: RootedTree, width: int | None = None) -> int:
@@ -209,7 +214,7 @@ def count_optimal_rooted_colourings(rt: RootedTree, width: int | None = None) ->
     given; below the optimum the count is 0.
     """
     shapes = ShapeTable()
-    code = rooted_shapes(rt.tree, rt.root, shapes.codes)[rt.root]
+    code = _root_code(rt, shapes)
     return shapes.count(code, shapes.index(code) if width is None else width)
 
 
@@ -223,7 +228,7 @@ def oriented_tree_index(o: Orientation, shapes: ShapeTable | None = None) -> int
     codes and counts.
     """
     shapes = shapes or ShapeTable()
-    hung = hang(o.base, tree_center(o.base).vertices[0])
+    hung = hang_centre(o.base)
     return shapes.index(hung.codes(shapes.codes, o.vector)[hung.root])
 
 
@@ -237,16 +242,15 @@ def oriented_tree_colouring(o: Orientation, width: int) -> Colouring | None:
     exactly when its rooted classes do (see _classes_distinct), so no
     stabiliser search is made.
     """
-    return hung_tree_colouring(hang(o.base, tree_center(o.base).vertices[0]),
-                               o, width)
+    return hung_tree_colouring(hang_centre(o.base), o, width)
 
 
 def hung_tree_colouring(hung: HungTree, o: Orientation,
                         width: int) -> Colouring | None:
     """oriented_tree_colouring with o's tree already hung from a centre vertex.
 
-    hung must be o's underlying tree hung from its first centre vertex,
-    as a sweep over the tree's orientations hangs it once for all.
+    hung must be hang_centre of o's underlying tree, as a sweep over the
+    tree's orientations hangs it once for all.
     """
     m = o.base.m
     vec = o.vector

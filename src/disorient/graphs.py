@@ -7,7 +7,7 @@ index, used everywhere else (colour assignments, direction vectors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -498,12 +498,14 @@ class HungTree:
     below), children before parents (reversed BFS order); below is 1
     when vertex < parent.  Edge i's bit in a direction vector (set when
     the edge is reversed, as in Orientation.from_vector) XOR below is 1
-    exactly when its arc points to the parent.
+    exactly when its arc points to the parent.  centre is the tree's
+    centre when it was hung from its first centre vertex (hang_centre).
     """
 
     n: int
     root: int
     steps: tuple[tuple[int, int, int, int], ...]
+    centre: CenterInfo | None = None
 
     @property
     def away(self) -> int:
@@ -536,9 +538,26 @@ class HungTree:
         codes[self.root] = intern(tuple(sorted(keys[self.root])), len(table))
         return codes
 
+    def halves(self, table: dict[tuple[int, ...], int],
+               codes: list[int]) -> tuple[int, int]:
+        """AHU codes of the two halves of the centre edge (a, b).
+
+        The tree must hang from a by hang_centre, with an edge centre,
+        and codes must come from table with every arc pointing away
+        from a.  Removing the centre edge leaves a's half, rooted at a,
+        and b's, rooted at b: b's is b's subtree, codes[b], and a's
+        holds a's other children, interned here.  Some automorphism
+        swaps a and b exactly when the two codes are equal.
+        """
+        a, b = self.centre.vertices
+        rest = sorted(2 * codes[v] for v, p, _, _ in self.steps if p == a and v != b)
+        return table.setdefault(tuple(rest), len(table)), codes[b]
+
 
 def hang(t: Graph, root: int) -> HungTree:
     """The tree t hung from root by one breadth-first search."""
+    if not 0 <= root < t.n:
+        raise ValueError(f"root {root} is not a vertex of a graph on {t.n} vertices")
     parent = [-1] * t.n
     parent[root] = root
     order = [root]
@@ -554,11 +573,13 @@ def hang(t: Graph, root: int) -> HungTree:
         for v in reversed(order[1:])))
 
 
-def rooted_shapes(t: Graph, root: int, table: dict[tuple[int, ...], int]) -> list[int]:
-    """AHU code of every vertex's subtree when the tree hangs from root.
+def hang_centre(t: Graph) -> HungTree:
+    """The tree t hung from its first centre vertex, keeping its centre.
 
-    The tree is undirected: codes are those of HungTree.codes with every
-    arc pointing away from the root, so every key is even.
+    Every automorphism of a tree fixes its centre, so this one hanging
+    answers each question about the tree's symmetry: its group, its
+    index and whether a centre edge is swapped (HungTree.halves).
+    Raises ValueError unless t is a tree.
     """
-    hung = hang(t, root)
-    return hung.codes(table, hung.away)
+    centre = tree_center(t)
+    return replace(hang(t, centre.vertices[0]), centre=centre)

@@ -5,7 +5,8 @@ by one first-hit backtrack per orbit point whatever the group's size,
 or as a full element list in lexicographic order of the image array.
 Element enumeration is capped (default one million elements) and a
 GroupSizeError is raised when the cap is hit, so callers never truncate
-a group silently.
+a group silently.  A tree's generators and order need no search: they
+come from the AHU codes of the tree hung from its centre.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator
 
-from .graphs import CenterInfo, Graph, HungTree, Orientation, hang, tree_center
+from .graphs import Graph, HungTree, Orientation
 from .search import codes_for, find_maps, nontrivial_map, strong_generators
 
 DEFAULT_GROUP_CAP = 10 ** 6
@@ -151,27 +152,24 @@ def automorphism_generators(x: Graph | Orientation) -> tuple[tuple[Permutation, 
 
 
 def tree_automorphism_generators(
-        t: Graph, *, centre: CenterInfo | None = None,
-        hung: HungTree | None = None) -> tuple[tuple[Permutation, ...], int]:
+        hung: HungTree) -> tuple[tuple[Permutation, ...], int]:
     """Generators of a tree's automorphism group and its order, with no search.
 
-    Every automorphism of a tree fixes its centre.  Hung from the first
-    centre vertex a, the automorphisms fixing a act on each vertex's
-    children by permuting runs of children with equal AHU codes, each
-    child carrying its subtree along, and within each subtree by its own
-    such automorphisms; so they are generated by one swap per pair of
-    adjacent siblings, in code order, with equal codes.  A swap maps one
-    subtree onto the other by pairing children in code order, all the
-    way down, and is its own inverse.  Their order is the product of
-    (run length)! over all runs.  A centre edge (a, b) is swapped by
-    some automorphism exactly when its two halves have equal codes; then
-    one such swap, built the same way, doubles the order.  centre and
-    hung, when given, must be tree_center(t) and t hung from the first
-    centre vertex; raises ValueError unless t is a tree.
+    hung is the tree hung from its first centre vertex a (hang_centre);
+    every automorphism of a tree fixes its centre.  The automorphisms
+    fixing a act on each vertex's children by permuting runs of children
+    with equal AHU codes, each child carrying its subtree along, and
+    within each subtree by its own such automorphisms; so they are
+    generated by one swap per pair of adjacent siblings, in code order,
+    with equal codes.  A swap maps one subtree onto the other by pairing
+    children in code order, all the way down, and is its own inverse.
+    Their order is the product of (run length)! over all runs.  A centre
+    edge (a, b) is swapped by some automorphism exactly when its two
+    halves have equal codes (HungTree.halves); then one such swap, built
+    the same way, doubles the order.
     """
-    centre = centre or tree_center(t)
-    hung = hung or hang(t, centre.vertices[0])
-    codes = hung.codes({}, hung.away)
+    table: dict[tuple[int, ...], int] = {}
+    codes = hung.codes(table, hung.away)
     kids: list[list[int]] = [[] for _ in range(hung.n)]
     for v, p, _, _ in hung.steps:
         kids[p].append(v)
@@ -198,11 +196,11 @@ def tree_automorphism_generators(
                 order *= run
             else:
                 run = 1
-    if centre.kind == "edge":
-        a, b = centre.vertices
-        half = [c for c in kids[a] if c != b]
-        if [codes[c] for c in half] == [codes[c] for c in kids[b]]:
-            gens.append(swap(a, b, half))
+    if hung.centre.kind == "edge":
+        half_a, half_b = hung.halves(table, codes)
+        if half_a == half_b:
+            a, b = hung.centre.vertices
+            gens.append(swap(a, b, [c for c in kids[a] if c != b]))
             order *= 2
     return tuple(gens), order
 

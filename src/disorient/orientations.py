@@ -26,23 +26,17 @@ then swaps its centre vertices, as a swap reverses the central arc.
 The representatives of a tree are counted, not searched: every
 automorphism of an oriented tree fixes its centre vertices, so its
 index is a rooted count over directed shape classes.  The tree is hung
-from a centre vertex once per sweep, and each representative's shape
-code comes straight from its direction vector.  The two final extremes
+from its first centre vertex once per sweep (graphs.hang_centre), and
+each representative's shape code comes straight from its direction
+vector.  The two final extremes
 get their witness colourings from the same rooted classes, in the
 search's candidate order at the counted width, so they are the search's
 first hits.
 
-A tree's group needs no search either (groups.tree_automorphism_generators).
-Every automorphism fixes the centre, so hung from the first centre
-vertex a, those fixing a permute each vertex's children within runs of
-equal AHU codes, carrying subtrees along; swapping adjacent siblings of
-a run, subtree onto subtree with children paired in code order, yields
-every such permutation, and inside each subtree the same argument
-recurses.  So |Aut| is the product of (run length)! over all runs,
-times 2 when the centre is an edge (a, b) whose halves have equal codes,
-where one more swap of the halves generates the rest.  The orbits, and
-so every sweep's output, depend only on the group, not on which
-generators stand for it.
+A tree's group needs no search either: it comes from the same hung
+tree's codes (groups.tree_automorphism_generators).  The orbits, and so
+every sweep's output, depend only on the group, not on which generators
+stand for it.
 
 A sweep stops once each extreme it was asked for reaches a proven
 bound, and no later representative can beat the first to reach it:
@@ -68,7 +62,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .distinguishing import Colouring, ShapeTable, dprime, hung_tree_colouring
-from .graphs import Graph, HungTree, Orientation, hang, is_connected, tree_center
+from .graphs import Graph, HungTree, Orientation, hang_centre, is_connected
 from .groups import (Permutation, automorphism_generators, edge_action,
                      tree_automorphism_generators)
 
@@ -208,9 +202,8 @@ def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True
 
     hung = group = None
     if g.m == g.n - 1 and g.n > 2:
-        centre = tree_center(g)
-        hung = hang(g, centre.vertices[0])
-        group = tree_automorphism_generators(g, centre=centre, hung=hung)
+        hung = hang_centre(g)
+        group = tree_automorphism_generators(hung)
         shapes = ShapeTable()
 
         def evaluate(v):

@@ -27,8 +27,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import (Graph, bipartition, encode_graph6, is_claw_free,
-                     rooted_shapes, tree_center)
+from .graphs import (Graph, bipartition, encode_graph6, hang_centre,
+                     is_claw_free)
 from .search import canonical_form, graph_codes, strong_generators
 
 
@@ -162,13 +162,11 @@ def connected_bipartite_graphs(n: int) -> tuple[Graph, ...]:
 
 
 def _tree_code(t: Graph, table: dict[tuple[int, ...], int]):
-    c = tree_center(t)
-    if c.kind == "vertex":
-        v = c.vertices[0]
-        return "v", rooted_shapes(t, v, table)[v]
-    a, b = c.vertices
-    return "e", tuple(sorted((rooted_shapes(t, b, table)[a],
-                              rooted_shapes(t, a, table)[b])))
+    hung = hang_centre(t)
+    codes = hung.codes(table, hung.away)
+    if hung.centre.kind == "vertex":
+        return "v", codes[hung.root]
+    return "e", tuple(sorted(hung.halves(table, codes)))
 
 
 @lru_cache(maxsize=None)

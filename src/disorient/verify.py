@@ -35,7 +35,7 @@ from .complete_bipartite import (BOUNDARY, as_complete_bipartite, dprime_kmn,
 from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
                             clawfree_rigid_orientation_trace,
                             compatible_orientation, hamiltonian_orientation,
-                            tree_case, tree_od_values)
+                            tree_od_values)
 from .distinguishing import Colouring, dprime, is_distinguishing
 from .graphs import (FormatError, Graph, bipartition, encode_digraph6,
                      encode_graph6, hamiltonian_path, is_claw_free,
@@ -220,12 +220,11 @@ def _check_tree(g: Graph, cap: int, *, swapped: bool):
         return _skip("not a tree")
     if g.n < 3:
         return _skip("fewer than three vertices")
-    case = tree_case(g)
+    lo, hi, case = tree_od_values(g)
     if (case.kind == CENTRAL_EDGE_SWAPPED) != swapped:
         return _skip(f"centre case is {case.kind}")
     if g.m > cap:
         return _skip(f"edge count {g.m} over cap {cap}")
-    lo, hi, _ = tree_od_values(g, case)
     res = od_extremes(g, edge_cap=cap)
     got = (res.od_minus, res.od_plus)
     if got != (lo, hi):

@@ -46,7 +46,6 @@ from disorient import (
     split_colouring,
     star_graph,
     tree_case,
-    tree_dprime,
     tree_od_values,
     trees,
 )
@@ -312,25 +311,28 @@ class TestTreeCase:
         tc = tree_case(star_graph(3))
         assert tc.kind == CENTRAL_VERTEX
         assert tc.center.vertices == (0,)
-        assert tc.rooted_half is None
+        assert tc.unique_optimal is None
+        assert tc.dprime == 3
 
     def test_p4(self):
         tc = tree_case(path_graph(4))
         assert tc.kind == CENTRAL_EDGE_SWAPPED
         assert tc.unique_optimal is True
-        assert tc.rooted_half.tree.n == 2
-        assert tc.rooted_half.root in (0, 1)
+        # each half is an edge rooted at an end, of index 1 with one class
+        assert tc.dprime == 2
 
     def test_unbalanced_double_star(self):
         tc = tree_case(double_star(1, 2))
         assert tc.kind == CENTRAL_EDGE_FIXED
         assert tc.unique_optimal is None
+        assert tc.dprime == 2
 
     def test_balanced_double_star(self):
         tc = tree_case(double_star(2, 2))
         assert tc.kind == CENTRAL_EDGE_SWAPPED
         assert tc.unique_optimal is True
-        assert tc.rooted_half.tree.n == 3
+        # each half is a cherry rooted at its centre: index 2, one class
+        assert tc.dprime == 3
 
     def test_small_input_rejected(self):
         with pytest.raises(ValueError):
@@ -388,7 +390,7 @@ class TestTreeCounting:
         for n in range(3, 13):
             for t in trees(n):
                 case = tree_case(t)
-                assert tree_dprime(t, case) == dprime(t).value, encode_graph6(t)
+                assert case.dprime == dprime(t).value, encode_graph6(t)
                 if case.center.kind == "edge":
                     a, b = case.center.vertices
                     swapped = b in _orbit(automorphism_generators(t)[0], a)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from disorient import (
@@ -13,17 +15,18 @@ from disorient import (
     bipartition,
     connected_graphs,
     cycle_graph,
+    double_star,
     encode_digraph6,
     encode_graph6,
     hamiltonian_path,
     hang,
+    hang_centre,
     is_claw_free,
     is_connected,
     is_tree,
     longest_cycle,
     parse,
     path_graph,
-    rooted_shapes,
     star_graph,
     tree_center,
     trees,
@@ -102,6 +105,67 @@ class TestEncode:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             encode_graph6(Graph.from_edges(63, []))
+
+
+@st.composite
+def sized_bodies(draw):
+    """A size byte and data bytes of the length it asks for, either format."""
+    n = draw(st.integers(1, 8))
+    directed = draw(st.booleans())
+    bits = n * n if directed else n * (n - 1) // 2
+    data = draw(st.text(st.characters(min_codepoint=63, max_codepoint=126),
+                        min_size=(bits + 5) // 6, max_size=(bits + 5) // 6))
+    return ("&" if directed else "") + chr(n + 63) + data
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and lines of small tokens: loops, repeats, strays."""
+    number = st.integers(-1, 7).map(str)
+    token = st.one_of(number, st.sampled_from(["x", "#", ""]))
+    line = st.one_of(st.tuples(number, number).map(" ".join),
+                     st.lists(token, min_size=1, max_size=3).map(" ".join))
+    return "\n".join([draw(number)] + draw(st.lists(line, max_size=8)))
+
+
+# text near each format: graph6 bytes, a digraph6 marker, edge-list lines
+FUZZ_TEXT = st.one_of(
+    edge_lists(),
+    st.text(),
+    st.text(st.characters(min_codepoint=63, max_codepoint=127), max_size=40),
+    st.text(st.characters(min_codepoint=63, max_codepoint=127), max_size=40)
+    .map(lambda s: "&" + s),
+    sized_bodies(),
+    st.text("0123456789 -\n#x", max_size=40),
+)
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 20))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
+
+
+class TestParseFuzz:
+    """Any text either parses or fails with FormatError, nothing else."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(FUZZ_TEXT)
+    def test_only_format_error_escapes(self, text):
+        for fmt in ("graph6", "digraph6", "edgelist"):
+            try:
+                parse(fmt, text)
+            except FormatError:
+                pass
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(random_graphs(), st.data())
+    def test_round_trips(self, g, data):
+        assert parse("graph6", encode_graph6(g)) == g
+        o = Orientation(g, tuple(data.draw(st.lists(
+            st.booleans(), min_size=g.m, max_size=g.m))))
+        assert parse("digraph6", encode_digraph6(o)) == o
 
 
 class TestGraphBasics:
@@ -241,6 +305,12 @@ class TestTreeCenter:
             assert sorted(mapped.vertices) == sorted(perm[v] for v in direct.vertices)
 
 
+def rooted_shapes(t, root, table):
+    """Undirected AHU codes of every vertex's subtree, t hung from root."""
+    hung = hang(t, root)
+    return hung.codes(table, hung.away)
+
+
 class TestRootedShapes:
     def test_path_and_star(self):
         table = {}
@@ -274,3 +344,42 @@ class TestRootedShapes:
     def test_non_tree_rejected(self):
         with pytest.raises(ValueError):
             rooted_shapes(cycle_graph(4), 0, {})
+
+    def test_root_out_of_range_rejected(self):
+        for root in (-1, 3):
+            with pytest.raises(ValueError, match=f"root {root} "):
+                hang(path_graph(3), root)
+
+
+class TestHangCentre:
+    def test_hung_from_first_centre_vertex(self):
+        for n in range(1, 10):
+            for t in trees(n):
+                hung = hang_centre(t)
+                assert hung.centre == tree_center(t), encode_graph6(t)
+                assert hung.root == hung.centre.vertices[0]
+                assert hung.steps == hang(t, hung.root).steps, encode_graph6(t)
+
+    def test_halves(self):
+        # a's half is a's other children, b's half is b's subtree
+        table = {}
+        hung = hang_centre(double_star(1, 2))
+        codes = hung.codes(table, hung.away)
+        assert hung.halves(table, codes) == (table[(0,)], table[(0, 0)])
+        hung = hang_centre(double_star(2, 2))
+        codes = hung.codes(table, hung.away)
+        half_a, half_b = hung.halves(table, codes)
+        assert half_a == half_b == table[(0, 0)]
+
+    def test_halves_vs_each_end(self):
+        # each half's code is the other end's subtree when hung from it
+        for n in range(2, 11):
+            for t in trees(n):
+                hung = hang_centre(t)
+                if hung.centre.kind != "edge":
+                    continue
+                table = {}
+                a, b = hung.centre.vertices
+                got = hung.halves(table, hung.codes(table, hung.away))
+                assert got == (rooted_shapes(t, b, table)[a],
+                               rooted_shapes(t, a, table)[b]), encode_graph6(t)

@@ -25,6 +25,7 @@ from disorient import (
     cycle_graph,
     encode_graph6,
     fixed_set_status,
+    hang_centre,
     is_automorphism,
     is_rigid,
     is_twisted,
@@ -32,10 +33,8 @@ from disorient import (
     path_graph,
     star_graph,
     tree_automorphism_generators,
-    tree_center,
     trees,
 )
-from disorient.graphs import hang
 from disorient.orientations import _orbit_reps
 from disorient.search import find_maps, graph_codes, nontrivial_map, orientation_codes
 
@@ -148,7 +147,7 @@ def _closure(n, gens):
 
 
 def _assert_tree_group(t):
-    gens, order = tree_automorphism_generators(t)
+    gens, order = tree_automorphism_generators(hang_centre(t))
     want_gens, want_order = automorphism_generators(t)
     assert order == want_order, encode_graph6(t)
     assert all(is_automorphism(t, p) for p in gens), encode_graph6(t)
@@ -185,7 +184,7 @@ class TestTreeGenerators:
         # generators reach all of it, and the brute force that it is Aut(t)
         for n in range(1, 9):
             for t in trees(n):
-                gens, order = tree_automorphism_generators(t)
+                gens, order = tree_automorphism_generators(hang_centre(t))
                 group = _closure(t.n, gens)
                 assert len(group) == order, encode_graph6(t)
                 if n <= 7:
@@ -193,22 +192,29 @@ class TestTreeGenerators:
                         encode_graph6(t)
 
     def test_small_trees_and_given_hanging(self):
-        assert tree_automorphism_generators(path_graph(1)) == ((), 1)
-        gens, order = tree_automorphism_generators(path_graph(2))
+        def generators(t):
+            return tree_automorphism_generators(hang_centre(t))
+        assert generators(path_graph(1)) == ((), 1)
+        gens, order = generators(path_graph(2))
         assert ([p.image for p in gens], order) == ([(1, 0)], 2)
-        assert tree_automorphism_generators(star_graph(6))[1] == factorial(6)
+        assert generators(star_graph(6))[1] == factorial(6)
         for t in trees(9):
-            centre = tree_center(t)
-            hung = hang(t, centre.vertices[0])
-            assert tree_automorphism_generators(t, centre=centre, hung=hung) \
-                == tree_automorphism_generators(t)
+            # the centre swap comes last, exactly when the halves match
+            hung = hang_centre(t)
+            gens, _ = tree_automorphism_generators(hung)
+            if hung.centre.kind == "edge":
+                table = {}
+                half_a, half_b = hung.halves(table, hung.codes(table, hung.away))
+                a, b = hung.centre.vertices
+                assert (half_a == half_b) == \
+                    (bool(gens) and gens[-1].image[a] == b), encode_graph6(t)
 
     def test_non_tree_rejected(self):
+        # only a tree hangs from its centre
         with pytest.raises(ValueError):
-            tree_automorphism_generators(cycle_graph(4))
+            hang_centre(cycle_graph(4))
         with pytest.raises(ValueError):
-            tree_automorphism_generators(
-                Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]))
+            hang_centre(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]))
 
 
 class TestArcPermutation:

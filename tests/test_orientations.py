@@ -19,7 +19,7 @@ from disorient import (
     encode_graph6,
     enumerate_orientations,
     find_rigid_orientation,
-    hang,
+    hang_centre,
     is_distinguishing,
     is_rigid,
     is_tree,
@@ -122,7 +122,7 @@ class TestSweepBounds:
     def test_tree_ceiling_reached_pointing_away_from_centre(self):
         for n in range(3, 10):
             for t in trees(n):
-                hung = hang(t, tree_center(t).vertices[0])
+                hung = hang_centre(t)
                 o = Orientation.from_vector(t, hung.away)
                 assert dprime(o).value == _ceiling(t) == od_plus(t)[0], \
                     encode_graph6(t)
@@ -366,7 +366,7 @@ class TestCountedTreeSweep:
         width = data.draw(st.integers(1, 3))
         colours = tuple(data.draw(st.lists(st.integers(1, width),
                                            min_size=t.m, max_size=t.m)))
-        hung = hang(t, tree_center(t).vertices[0])
+        hung = hang_centre(t)
         assert _classes_distinct(hung, o.vector, colours) == \
             is_distinguishing(o, Colouring(width, colours))
 
