@@ -8,15 +8,34 @@ closed under induced subgraphs, so the same chain restricted to
 claw-free graphs stays complete.  Trees are grown by leaf attachment
 and deduplicated by their canonical centre-rooted encoding.
 
-Graphs are deduplicated by canonical form (search.canonical_form): a
-candidate is kept when its form has not been seen.  For each parent only
-neighbour sets least in their orbit under the parent's automorphism
-group are tried.  This keeps the same representatives, in the same
-order: two sets in one orbit give isomorphic graphs, and the least set
-of the orbit is tried first, so a set that is not least could only have
-given a duplicate.  For claw-free growth a candidate is screened before
-it is built: the parent has no claw, so a new claw must use the new
-vertex.
+For each parent only neighbour sets least in their orbit under the
+parent's automorphism group are tried: two sets in one orbit give
+isomorphic graphs, and the least set of the orbit is tried first.  For
+claw-free growth a candidate is screened before it is built: the parent
+has no claw, so a new claw must use the new vertex.  The kept
+representative of each class is its first candidate, in parent order
+and then mask order.
+
+Duplicates are rejected by two exact screens, which keep exactly those
+first candidates.  Both rely on the parents arriving sorted by edge
+count, as every corpus here is.
+
+- Earlier parent (the order-preserving vertex filter of McKay,
+  Isomorph-free exhaustive generation, J. Algorithms 1998).  Let the
+  child have an old vertex v of degree above the new vertex's, whose
+  removal leaves it connected.  Then child - v is connected, claw-free
+  if the child is, and has fewer edges than the parent, so it is an
+  earlier parent.  Adding v back through the least mask of its orbit
+  gives the child's class from that earlier parent, and the claw screen
+  accepts it because it is exact.  So the child is not the first
+  candidate of its class and is dropped.  Conversely the first
+  candidate always passes: the screen would name an earlier parent.
+- Lazy canonical forms.  A surviving child is bucketed by a cheap
+  isomorphism invariant (the sorted degree and neighbour-degree
+  profile).  A child alone in its bucket is new and needs no canonical
+  form (search.canonical_form); once a second child reaches the bucket,
+  forms are computed for the graph already there and for every later
+  arrival, and a child is kept when its form is new.
 
 All generators return tuples in a deterministic order (edge count, then
 graph6 string) and cache their results per process.
@@ -113,17 +132,64 @@ def _extends_clawfree(bits: list[int], mask: int) -> bool:
     return True
 
 
+def _earlier_parent(bits: list[int]) -> bool:
+    """Whether the child also grows from a parent with fewer edges.
+
+    bits[v] is the child's neighbour bitmask of v; the new vertex is the
+    last.  True when an old vertex of degree above the new vertex's
+    leaves the child connected when it is removed.
+    """
+    k = bits[-1].bit_count()
+    last = len(bits) - 1
+    for v in range(last):
+        if bits[v].bit_count() <= k:
+            continue
+        rest = ((1 << len(bits)) - 1) ^ (1 << v)
+        reach = frontier = 1 << last
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            fresh = bits[low.bit_length() - 1] & rest & ~reach
+            reach |= fresh
+            frontier |= fresh
+        if reach == rest:
+            return True
+    return False
+
+
+def _bucket_key(bits: list[int]) -> int:
+    """Hash of the sorted (degree, sorted neighbour degrees) pairs."""
+    n = len(bits)
+    deg = [b.bit_count() for b in bits]
+    return hash(tuple(sorted(
+        (deg[v], tuple(sorted(deg[u] for u in range(n) if b >> u & 1)))
+        for v, b in enumerate(bits))))
+
+
 def _grow(parents, keep=None) -> tuple[Graph, ...]:
     """All one-vertex extensions of the parent graphs, up to isomorphism.
 
-    Only neighbour sets least in their orbit under the parent's group are
-    tried, and a candidate is kept when its canonical form is new.
-    keep(bits, mask), when given, screens a candidate before it is built:
-    bits holds the parent's neighbour bitmasks and mask the new vertex's
-    neighbours.
+    The parents must be sorted by edge count.  Only neighbour sets least
+    in their orbit under the parent's group are tried.  keep(bits, mask),
+    when given, screens a candidate before it is built: bits holds the
+    parent's neighbour bitmasks and mask the new vertex's neighbours.
+    The first candidate of each class is kept, as if every candidate's
+    canonical form were compared, but two exact screens drop most
+    duplicates before any form is computed:
+
+    - a child for which _earlier_parent holds also grows from a parent
+      with fewer edges, which came earlier and already tried a candidate
+      of the same class, so the child is not the first of its class; the
+      first candidate has no such parent, so it always passes;
+    - a child whose _bucket_key no earlier child had is new.  Once a
+      bucket has a second child, the forms of its first graph and of
+      every later child in it go into one set of forms, and a child is
+      kept when its form is not in that set.  Isomorphic graphs share a
+      key, so the set holds every form a duplicate could match.
     """
-    seen = set()
     out: list[Graph] = []
+    first: dict[int, int] = {}  # key -> index in out of its only graph, or -1
+    seen = set()
     for g in parents:
         n = g.n
         codes = graph_codes(g)
@@ -131,13 +197,25 @@ def _grow(parents, keep=None) -> tuple[Graph, ...]:
         for mask in _least_masks(n, strong_generators(codes)[0]):
             if keep is not None and not keep(bits, mask):
                 continue
-            col = [mask >> v & 1 for v in range(n)]
-            form = canonical_form([row + [c] for row, c in zip(codes, col)]
-                                  + [col + [0]])
-            if form in seen:
+            child = [b | (mask >> v & 1) << n for v, b in enumerate(bits)]
+            child.append(mask)
+            if _earlier_parent(child):
                 continue
-            seen.add(form)
-            extra = [(v, n) for v in range(n) if col[v]]
+            key = _bucket_key(child)
+            i = first.get(key)
+            if i is None:
+                first[key] = len(out)
+            else:
+                if i >= 0:
+                    seen.add(canonical_form(graph_codes(out[i])))
+                    first[key] = -1
+                col = [mask >> v & 1 for v in range(n)]
+                form = canonical_form([row + [c] for row, c in zip(codes, col)]
+                                      + [col + [0]])
+                if form in seen:
+                    continue
+                seen.add(form)
+            extra = [(v, n) for v in range(n) if mask >> v & 1]
             out.append(Graph.from_edges(n + 1, list(g.edges) + extra))
     return _canonical_order(out)
 
@@ -197,12 +275,11 @@ def clawfree_graphs(n: int, max_edges: int | None = None) -> tuple[Graph, ...]:
     Up to seven vertices this filters the full connected corpus; beyond
     that the vertex-addition chain itself is restricted to claw-free
     graphs, which stays exhaustive because claw-freeness survives
-    deleting a vertex.
+    deleting a vertex.  With max_edges, only the graphs with at most that
+    many edges, filtered from the cached uncapped level.
     """
+    if max_edges is not None:
+        return tuple(g for g in clawfree_graphs(n) if g.m <= max_edges)
     if n <= 7:
-        base = tuple(g for g in connected_graphs(n) if is_claw_free(g))
-    else:
-        base = _grow(clawfree_graphs(n - 1), keep=_extends_clawfree)
-    if max_edges is None:
-        return base
-    return tuple(g for g in base if g.m <= max_edges)
+        return tuple(g for g in connected_graphs(n) if is_claw_free(g))
+    return _grow(clawfree_graphs(n - 1), keep=_extends_clawfree)

@@ -1,8 +1,11 @@
 """Corpus generators: pinned counts, membership, and dedup."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from disorient import (
@@ -22,15 +25,54 @@ from disorient import (
     star_graph,
     trees,
 )
+from disorient import smallgraphs
 from disorient.graphs import Graph
-from disorient.search import graph_codes, strong_generators
-from disorient.smallgraphs import _extends_clawfree, _least_masks
+from disorient.search import canonical_form, graph_codes, strong_generators
+from disorient.smallgraphs import (_bucket_key, _earlier_parent,
+                                   _extends_clawfree, _grow, _least_masks)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11,
                8: 23, 9: 47, 10: 106, 11: 235}
 BIPARTITE_COUNTS = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44}
 CLAWFREE_COUNTS = {6: 50, 7: 191, 8: 881}
+
+# SHA-256 of the newline-joined graph6 strings, in corpus order, of
+# connected_graphs(1..7) and clawfree_graphs(1..8): pins representatives
+# and order, not only counts.
+CONNECTED_DIGEST = "6d5f81e33ba2cc7413057fd6e2859fcec8c01014cf5a0e68ca73fa66484be57e"
+CLAWFREE_DIGEST = "9129756b0d004c5ba064b7b3d1a657260f4effc585a3022fc6cdc913f4320ded"
+
+
+def _digest(corpora) -> str:
+    text = "\n".join(encode_graph6(g) for corpus in corpora for g in corpus)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _bits(g: Graph) -> list[int]:
+    return [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+
+
+def _child(g: Graph, mask: int) -> Graph:
+    extra = [(v, g.n) for v in range(g.n) if mask >> v & 1]
+    return Graph.from_edges(g.n + 1, list(g.edges) + extra)
+
+
+def _reference_grow(parents, keep=None) -> tuple[Graph, ...]:
+    """Unscreened growth: every orbit-least mask, deduplicated by form."""
+    seen = set()
+    out = []
+    for g in parents:
+        bits = _bits(g)
+        for mask in _least_masks(g.n, strong_generators(graph_codes(g))[0]):
+            if keep is not None and not keep(bits, mask):
+                continue
+            h = _child(g, mask)
+            form = canonical_form(graph_codes(h))
+            if form not in seen:
+                seen.add(form)
+                out.append(h)
+    return tuple(sorted(out, key=lambda h: (h.m, encode_graph6(h))))
 
 
 class TestCounts:
@@ -77,6 +119,17 @@ class TestMembership:
         for g in clawfree_graphs(6):
             assert is_connected(g) and is_claw_free(g)
 
+    def test_capped_clawfree_filters_cached_level(self, monkeypatch):
+        full = clawfree_graphs(8)
+        calls = []
+        grow = smallgraphs._grow
+        monkeypatch.setattr(smallgraphs, "_grow",
+                            lambda *a, **k: calls.append(a) or grow(*a, **k))
+        # an edge cap no other test uses, so its cache entry is fresh
+        capped = clawfree_graphs(8, 15)
+        assert calls == []
+        assert capped == tuple(g for g in full if g.m <= 15)
+
     def test_clawfree_edge_filter_is_subset(self):
         full = {encode_graph6(g) for g in clawfree_graphs(8)}
         capped = clawfree_graphs(8, 16)
@@ -107,6 +160,10 @@ class TestDedup:
             keys = [(g.m, encode_graph6(g)) for g in corpus]
             assert keys == sorted(keys)
 
+    def test_corpus_digests(self):
+        assert _digest(connected_graphs(n) for n in range(1, 8)) == CONNECTED_DIGEST
+        assert _digest(clawfree_graphs(n) for n in range(1, 9)) == CLAWFREE_DIGEST
+
     def test_cached(self):
         assert connected_graphs(5) is connected_graphs(5)
 
@@ -115,12 +172,10 @@ class TestGrowth:
     def test_claw_check_through_new_vertex(self):
         for n in range(1, 7):
             for g in clawfree_graphs(n):
-                bits = [sum(1 << u for u in g.adj[v]) for v in range(n)]
+                bits = _bits(g)
                 for mask in range(1 << n):
-                    extra = [(v, n) for v in range(n) if mask >> v & 1]
-                    h = Graph.from_edges(n + 1, list(g.edges) + extra)
-                    assert _extends_clawfree(bits, mask) == is_claw_free(h), \
-                        (g, mask)
+                    assert _extends_clawfree(bits, mask) == \
+                        is_claw_free(_child(g, mask)), (g, mask)
 
     def test_least_masks_one_per_orbit(self):
         for n in range(1, 6):
@@ -131,6 +186,66 @@ class TestGrowth:
                          for mask in range(1, 1 << n)}
                 gens = strong_generators(graph_codes(g))[0]
                 assert _least_masks(n, gens) == sorted(least), g
+
+
+class TestScreens:
+    """_grow's duplicate screens against unscreened growth."""
+
+    @staticmethod
+    def _g6(gs):
+        return [encode_graph6(g) for g in gs]
+
+    def test_connected_growth_matches_reference(self):
+        for n in range(1, 7):
+            parents = connected_graphs(n)
+            assert self._g6(_grow(parents)) == \
+                self._g6(_reference_grow(parents)), n
+
+    def test_clawfree_growth_matches_reference(self):
+        parents = clawfree_graphs(7)
+        assert self._g6(_grow(parents, keep=_extends_clawfree)) == \
+            self._g6(_reference_grow(parents, keep=_extends_clawfree))
+
+    def test_rejected_children_have_a_parent_with_fewer_edges(self):
+        for n in range(1, 7):
+            parents = connected_graphs(n)
+            forms_below = {}  # parent edge count -> forms of its children
+            for g in parents:
+                forms = forms_below.setdefault(g.m, set())
+                forms.update(canonical_form(graph_codes(_child(g, mask)))
+                             for mask in range(1, 1 << n))
+            rejected = 0
+            for g in parents:
+                for mask in _least_masks(n, strong_generators(graph_codes(g))[0]):
+                    h = _child(g, mask)
+                    if not _earlier_parent(_bits(h)):
+                        continue
+                    rejected += 1
+                    form = canonical_form(graph_codes(h))
+                    assert any(form in forms for m, forms in forms_below.items()
+                               if m < g.m), (g, mask)
+            assert rejected or n < 3, n
+
+    def test_earlier_parent_cases(self):
+        # C4 plus a pendant at 0: removing 2 leaves the star K_{1,3}, with
+        # fewer edges than C4, and 2's degree 2 is above the new vertex's
+        assert _earlier_parent(_bits(_child(cycle_graph(4), 0b0001)))
+        # K_{1,3} grown from P3 at its middle: the centre's degree 3 is
+        # above the new vertex's, but it is a cut vertex
+        assert not _earlier_parent(_bits(_child(path_graph(3), 0b010)))
+        # C4 grown from P4 by joining both ends: every vertex is non-cut,
+        # but none has degree above the new vertex's 2
+        assert not _earlier_parent(_bits(_child(path_graph(4), 0b1001)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1),
+        st.permutations(range(n)))))
+    def test_bucket_key_ignores_labelling(self, case):
+        n, chosen, perm = case
+        pairs = list(combinations(range(n), 2))
+        g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+        assert _bucket_key(_bits(g)) == _bucket_key(_bits(g.relabel(perm)))
 
 
 class TestCompleteness:
