@@ -212,6 +212,23 @@ def nontrivial_automorphism(x: Graph | Orientation) -> Permutation | None:
 
 
 def is_rigid(x: Graph | Orientation) -> bool:
+    """Whether x has no automorphism but the identity.
+
+    A graph with twins, two vertices u, v with N(u) = N(v) or
+    N[u] = N[v], is not rigid: swapping u and v fixes every other
+    vertex and keeps each edge, since u and v see the same vertices
+    apart from each other.  Twins show as equal neighbour masks, open
+    or closed, found in O(m); only a graph without them, or an
+    orientation, goes to the search.
+    """
+    if isinstance(x, Graph):
+        masks = [0] * x.n
+        for u, v in x.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        if len(set(masks)) < x.n or \
+                len({b | 1 << v for v, b in enumerate(masks)}) < x.n:
+            return False
     return nontrivial_automorphism(x) is None
 
 

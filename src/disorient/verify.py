@@ -8,17 +8,22 @@ not an error; their distinguishing values can be cached in an
 append-only JSON-lines file so interrupted sweeps resume cheaply.
 
 A conjecture scan tries the paper's certificates before any search.
-Each ends in an exact symmetry test, so a value it gives is exact and a
+Each ends in an exact test, so a value it gives is exact and a
 certificate that fails costs only time.  D' is 1 when the graph is
-rigid.  Otherwise one Hamiltonian path, computed only for a value the
-cache lacks, serves twice.  Colouring its edges 1 and the others 2
-leaves the identity and the path's reversal as the only candidate
-symmetries, so when the stabiliser test finds none, D' = 2.  At D' = 2
-the orientation along the path is rigid (Theorem 8); for claw-free
-graphs on six or more vertices the claw-free construction (Theorem 12)
-comes next.  A construction whose output keeps a symmetry raises
-ConstructionError.  What no certificate settles is searched as before:
-dprime, then find_rigid_orientation, then od_minus.
+rigid; two twin vertices, with equal open or closed neighbourhoods,
+show at once that it is not, since swapping them is a symmetry.
+Otherwise one Hamiltonian path, computed only for a value the cache
+lacks, serves twice.  Colouring its edges 1 and the others 2 leaves the
+identity and the path's reversal as the only candidate symmetries, and
+the reversal keeps the colouring exactly when it is an automorphism, so
+when it is not, D' = 2.  When it is, the path and one chord coloured 1
+are tried in edge order, each by the exact stabiliser test; a hit also
+gives D' = 2.  At D' = 2 the orientation along the path is rigid
+(Theorem 8); for claw-free graphs on six or more vertices the claw-free
+construction (Theorem 12) comes next.  A construction whose output
+keeps a symmetry raises ConstructionError.  What no certificate settles
+is searched as before: dprime, then find_rigid_orientation, then
+od_minus.
 """
 
 from __future__ import annotations
@@ -40,9 +45,9 @@ from .distinguishing import Colouring, dprime, is_distinguishing
 from .graphs import (FormatError, Graph, bipartition, encode_digraph6,
                      encode_graph6, hamiltonian_path, is_claw_free,
                      is_connected, parse)
-from .groups import (NOT_FIXED, automorphism_generators, automorphism_group,
-                     edge_action, fixed_set_status, is_automorphism,
-                     is_rigid, is_twisted)
+from .groups import (NOT_FIXED, Permutation, automorphism_generators,
+                     automorphism_group, edge_action, fixed_set_status,
+                     is_automorphism, is_rigid, is_twisted)
 from .orientations import (DEFAULT_EDGE_CAP, enumerate_orientations,
                            find_rigid_orientation, od_extremes, od_minus)
 
@@ -549,13 +554,32 @@ def _path_distinguishes(g: Graph, path) -> bool:
     """Whether colouring path's edges 1 and the rest 2 distinguishes g.
 
     A symmetry keeping that colouring maps the path onto itself, so it is
-    the identity or the path's reversal; the exact test below tells which.
+    the identity or the path's reversal.  The reversal keeps the path's
+    edges, so it keeps the colouring exactly when it is an automorphism
+    of g.  On two or more vertices it is not the identity.
     """
-    if path is None:
-        return False
-    pos = {v: i for i, v in enumerate(path)}
-    colours = [1 if abs(pos[u] - pos[v]) == 1 else 2 for u, v in g.edges]
-    return is_distinguishing(g, Colouring(2, tuple(colours)))
+    rev = [0] * len(path)
+    for v, w in zip(path, reversed(path)):
+        rev[v] = w
+    return not is_automorphism(g, Permutation(tuple(rev)))
+
+
+def _chord_distinguishes(g: Graph, path) -> bool:
+    """Whether the path's edges and some one chord, coloured 1, distinguish g.
+
+    The other edges are coloured 2.  Chords are tried in edge order, each
+    colouring by the exact stabiliser test, so True is exact.
+    """
+    on_path = {g.index_of(u, v) for u, v in zip(path, path[1:])}
+    base = [1 if i in on_path else 2 for i in range(g.m)]
+    for i in range(g.m):
+        if i in on_path:
+            continue
+        colours = base.copy()
+        colours[i] = 1
+        if is_distinguishing(g, Colouring(2, tuple(colours))):
+            return True
+    return False
 
 
 def _certified_rigid(g: Graph, path) -> bool:
@@ -603,7 +627,11 @@ def _scan_worker(args):
             d = 1
         else:
             path = hamiltonian_path(g)
-            d = 2 if _path_distinguishes(g, path) else dprime(g).value
+            if path is not None and (_path_distinguishes(g, path)
+                                     or _chord_distinguishes(g, path)):
+                d = 2
+            else:
+                d = dprime(g).value
     out["dprime"] = d
     odm = known_odm
 
@@ -644,11 +672,12 @@ def scan_conjectures(corpus: Corpus, which="both", *,
     are reused and new ones appended as JSON lines.
 
     Values the cache lacks come from certificates first: for D', a
-    rigidity test, then the colouring that sets a Hamiltonian path apart;
-    at D' = 2, the orientation along that path, then the claw-free
-    construction (see the module docstring).  Each ends in an exact
-    symmetry test, so the report and the rows are those the searches
-    alone give; the searches run only for what no certificate settles.
+    rigidity test, then the colouring that sets a Hamiltonian path apart,
+    then that path with one chord; at D' = 2, the orientation along that
+    path, then the claw-free construction (see the module docstring).
+    Each ends in an exact symmetry test, so the report and the rows are
+    those the searches alone give; the searches run only for what no
+    certificate settles.
     """
     which = str(which)
     if which not in ("1", "2", "both"):

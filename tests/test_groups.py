@@ -131,6 +131,13 @@ class TestAutomorphismGroup:
         assert is_automorphism(cycle_graph(4), p)
         assert not p.is_identity
 
+    def test_twin_screen_agrees_with_the_search(self):
+        # is_rigid answers graphs with twins without the search
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                assert is_rigid(g) == (nontrivial_automorphism(g) is None), \
+                    encode_graph6(g)
+
 
 def _closure(n, gens):
     """Every element of the group the generators generate."""

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from disorient import verify
+from disorient import groups, verify
 from disorient import (
     CLAIMS,
     THEOREM_IDS,
+    Colouring,
     ConstructionError,
     Corpus,
     FormatError,
@@ -23,6 +24,7 @@ from disorient import (
     dprime,
     encode_graph6,
     find_rigid_orientation,
+    is_distinguishing,
     od_minus,
     path_graph,
     scan_conjectures,
@@ -336,11 +338,29 @@ class TestScanCertificates:
 
     @pytest.mark.parametrize("g, searched, swept", [
         (PAW, False, False),
-        (path_graph(5), True, False),  # the path's reversal keeps its colouring
+        (path_graph(5), True, False),  # the reversal keeps it; no chord
         (SPIDER, True, True),
         (NET, True, False),
+        (complete_graph(6), False, False),  # a chord sets it apart
     ])
     def test_which_values_are_searched(self, monkeypatch, g, searched, swept):
+        # the searches made inside the scan's rigidity test
+        rigidity_searches = []
+        inside = []
+        rigid, search = verify.is_rigid, groups.nontrivial_map
+
+        def rigid_spy(x):
+            inside.append(x)
+            result = rigid(x)
+            inside.pop()
+            return result
+
+        def search_spy(codes):
+            if inside:
+                rigidity_searches.append(codes)
+            return search(codes)
+        monkeypatch.setattr(verify, "is_rigid", rigid_spy)
+        monkeypatch.setattr(groups, "nontrivial_map", search_spy)
         index = _spy(monkeypatch, "dprime")
         sweeps = _spy(monkeypatch, "find_rigid_orientation")
         clawfree = _spy(monkeypatch, "clawfree_rigid_orientation_trace")
@@ -348,6 +368,21 @@ class TestScanCertificates:
         assert scan_conjectures(_corpus(g)).passed == 1
         assert (len(index), len(sweeps)) == (int(searched), int(swept))
         assert len(clawfree) == int(g is NET)
+        # PAW, SPIDER and K6 have twins, so only the others are searched
+        assert len(rigidity_searches) == int(g in (NET, path_graph(5)))
+
+    def test_reversal_test_equals_the_path_colouring(self):
+        for n in range(2, 8):
+            for g in connected_graphs(n):
+                path = verify.hamiltonian_path(g)
+                if path is None:
+                    continue
+                on_path = {frozenset(e) for e in zip(path, path[1:])}
+                colours = tuple(1 if frozenset(e) in on_path else 2
+                                for e in g.edges)
+                want = is_distinguishing(g, Colouring(2, colours))
+                assert verify._path_distinguishes(g, path) == want, \
+                    encode_graph6(g)
 
     @pytest.mark.parametrize("name", ["hamiltonian_orientation",
                                       "clawfree_rigid_orientation_trace"])
