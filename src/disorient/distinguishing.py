@@ -9,10 +9,25 @@ The search never materialises the automorphism group.  Candidate
 colourings are enumerated level by level (exactly k distinct colours at
 level k) in restricted-growth form, which picks one representative per
 colour-renaming class, and each candidate gets a colour-aware
-backtracking stabiliser test.  Two pruning devices keep star-like
-inputs cheap: interchangeable pendant edges at a shared support must
-receive pairwise distinct colours, and automorphisms that defeated
-earlier candidates are replayed as quick filters before the full test.
+backtracking stabiliser test.  Interchangeable pendant edges at a
+shared support must receive pairwise distinct colours.  Three exact
+devices keep a candidate cheap; none changes the value or the witness:
+
+- The input is refined once.  A partition equitable for a colouring is
+  equitable for the uncoloured structure, so it refines the uncoloured
+  labels, and each candidate's refinement starts from them and reaches
+  the cells the unit partition gives, on rows built from the edges.
+- Automorphisms that defeated earlier candidates are kept as their
+  moved (edge, image) pairs and replayed before the full test, the one
+  that last rejected a candidate first: consecutive candidates differ
+  in their last positions, so it usually rejects the next one too.
+  The first 64 distinct ones are kept, in the order found, so the set
+  replayed, and the candidates it rejects, do not depend on the order.
+- The first width is a lower bound on the index.  t >= 2 vertices of a
+  graph with one open neighbourhood N are permuted freely by
+  automorphisms fixing everything else, so a distinguishing colouring
+  gives them t distinct colour vectors on N, and k ** |N| >= t.  No
+  width below the index has a witness to find.
 
 Rooted and oriented trees are counted, not searched: the distinguishing
 colourings of a rooted tree, up to root-preserving automorphisms, have
@@ -33,7 +48,7 @@ from typing import Iterator
 from .graphs import (Graph, HungTree, Orientation, hang, hang_centre,
                      is_connected, is_tree)
 from .groups import Permutation
-from .search import codes_for, nontrivial_map
+from .search import code_rows, codes_for, equitable_labels, nontrivial_map
 
 _BREAKER_CACHE_LIMIT = 64
 
@@ -335,53 +350,110 @@ def _candidate_strings(m: int, k: int,
     """Restricted-growth strings of length m with exactly k values.
 
     Positions listed in prior must differ from their listed partners.
+    Strings come in lexicographic order.  The walk is iterative, so a
+    string costs the positions that change from the one before, not m
+    generator frames.
     """
+    if m < k:
+        return
     assignment = [0] * m
-
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if mx + (m - i) < k:
-            return
-        if i == m:
+    most = [0] * (m + 1)  # most[i]: the largest value among positions < i
+    i = 0
+    while i >= 0:
+        c = assignment[i] + 1
+        top = most[i] + 1 if most[i] < k else k
+        if prior[i]:
+            banned = {assignment[j] for j in prior[i]}
+            while c in banned:
+                c += 1
+        if c > top:
+            assignment[i] = 0
+            i -= 1
+            continue
+        assignment[i] = c
+        mx = most[i] if c <= most[i] else c
+        if mx + (m - i - 1) < k:
+            continue  # too few positions left to reach k values
+        if i + 1 == m:
             yield tuple(assignment)
-            return
-        banned = {assignment[j] for j in prior[i]}
-        top = mx + 1 if mx < k else k
-        for c in range(1, top + 1):
-            if c in banned:
-                continue
-            assignment[i] = c
-            yield from rec(i + 1, mx if c <= mx else c)
+        else:
+            most[i + 1] = mx
+            i += 1
 
-    yield from rec(0, 0)
+
+def _width_floor(x: Graph | Orientation, cliques: list[list[int]]) -> int:
+    """A lower bound on the index of a structure that is not rigid.
+
+    Vertices of a graph with one open neighbourhood N, t >= 2 of them,
+    are permuted freely by automorphisms that fix every other vertex, so
+    a distinguishing colouring gives them t distinct colour vectors on
+    N, and the index k has k ** |N| >= t.  Leaves at one support are
+    the case |N| = 1.  An orientation keeps only its pendant-arc
+    cliques, whose edges need pairwise distinct colours.
+    """
+    floor = max([2] + [len(c) for c in cliques])
+    if isinstance(x, Graph):
+        twins: dict[frozenset[int], int] = {}
+        for nbrs in x.adj:
+            twins[nbrs] = twins.get(nbrs, 0) + 1
+        for nbrs, t in twins.items():
+            k = floor
+            while k ** len(nbrs) < t:
+                k += 1
+            floor = k
+    return floor
+
+
+def _moved(eperm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i, j in enumerate(eperm) if i != j)
 
 
 def _dprime_search(x: Graph | Orientation, *, min_width: int = 1,
                    max_width: int | None = None) -> DprimeResult | None:
+    """First distinguishing colouring from the least width that can have one.
+
+    The three devices of the module docstring, in turn: plain holds the
+    uncoloured equitable labels, the start of every candidate's
+    refinement; cache holds the replayed breakers, most recent hit
+    first, and admitted the set of them; _width_floor gives the first
+    width.
+    """
     g = x.base if isinstance(x, Orientation) else x
     m = g.m
     if m == 0:
         return DprimeResult(1, Colouring(1, ()))
-    breaker = nontrivial_map(codes_for(x))
+    plain = equitable_labels(code_rows(x))
+    breaker = nontrivial_map(codes_for(x), plain)
     if breaker is None:
         return DprimeResult(1, Colouring.constant(m))
 
     cliques = _twin_cliques(x)
     prior = _prior_twins(m, cliques)
-    lower = max([2] + [len(c) for c in cliques])
-    cache = [_edge_perm(x, breaker)]
+    first = _moved(_edge_perm(x, breaker))
+    cache = [first]
+    admitted = {first}
     top = m if max_width is None else min(m, max_width)
-    for k in range(max(lower, min_width), top + 1):
+    for k in range(max(_width_floor(x, cliques), min_width), top + 1):
         for assignment in _candidate_strings(m, k, prior):
-            if any(all(assignment[ep[i]] == assignment[i] for i in range(m))
-                   for ep in cache):
-                continue
-            img = nontrivial_map(codes_for(x, colours=assignment))
-            if img is None:
-                return DprimeResult(k, Colouring(k, assignment))
-            if len(cache) < _BREAKER_CACHE_LIMIT:
-                eperm = _edge_perm(x, img)
-                if eperm not in cache:
-                    cache.append(eperm)
+            for pos, pairs in enumerate(cache):
+                for i, j in pairs:
+                    if assignment[i] != assignment[j]:
+                        break
+                else:
+                    if pos:
+                        cache.insert(0, cache.pop(pos))
+                    break
+            else:
+                img = nontrivial_map(
+                    codes_for(x, colours=assignment),
+                    equitable_labels(code_rows(x, assignment), plain))
+                if img is None:
+                    return DprimeResult(k, Colouring(k, assignment))
+                if len(admitted) < _BREAKER_CACHE_LIMIT:
+                    pairs = _moved(_edge_perm(x, img))
+                    if pairs not in admitted:
+                        admitted.add(pairs)
+                        cache.insert(0, pairs)
     if max_width is None:
         raise AssertionError("no distinguishing colouring found at any width")
     return None

@@ -8,12 +8,16 @@ codes[phi(u)][phi(v)] == codes[u][v] for all pairs.
 
 Candidate images are pruned by iterated neighbourhood-multiset refinement
 over sparse rows: each vertex keeps only its nonzero (neighbour, code)
-pairs, so a round costs the number of arcs rather than n squared.  The
+pairs, so a round costs the number of arcs rather than n squared.
+code_rows builds those rows straight from the edges or arcs.  The
 refinement labels a vertex by the rank of its signature among the sorted
 distinct ones, not by first appearance, so the labels do not depend on
 vertex numbering.  It is a pure filter for find_maps: correctness never
-depends on it.  Maps are yielded in lexicographic order of their image
-tuple, so the identity is always the first symmetry produced.
+depends on it.  The labels come from the caller when it has them:
+strong_generators refines its matrix once for all its searches, and the
+index search refines each candidate colouring from the uncoloured
+labels.  Maps are yielded in lexicographic order of their image tuple,
+so the identity is always the first symmetry produced.
 
 canonical_form gives a value that two code matrices share exactly when
 one relabels the other, by individualisation-refinement (McKay and
@@ -26,8 +30,6 @@ certificates reveal.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain
 from typing import Iterator
 
 from .graphs import Graph, Orientation
@@ -60,43 +62,62 @@ def codes_for(x: Graph | Orientation, colours=None) -> list[list[int]]:
     return graph_codes(x, colours)
 
 
+def code_rows(x: Graph | Orientation, colours=None) -> list[list[tuple[int, int]]]:
+    """Each vertex's nonzero (neighbour, code) pairs of codes_for(x, colours).
+
+    Built straight from the edges or arcs, with no matrix.
+    """
+    if isinstance(x, Orientation):
+        n, pairs, back = x.base.n, x.arcs, -1
+    else:
+        n, pairs, back = x.n, x.edges, 1
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        c = 1 if colours is None else colours[i]
+        rows[u].append((v, c))
+        rows[v].append((u, back * c))
+    return rows
+
+
 def _sparse_rows(codes: list[list[int]]) -> list[list[tuple[int, int]]]:
     """Each vertex's nonzero (neighbour, code) pairs."""
     return [[(u, c) for u, c in enumerate(row) if c and u != v]
             for v, row in enumerate(codes)]
 
 
-def _labels(codes: list[list[int]]) -> tuple[int, ...]:
-    """Equitable labels of a code matrix, refined from the unit partition.
+def equitable_labels(rows, start=None) -> tuple[int, ...]:
+    """Equitable labels of sparse code rows, refined from start.
 
-    Codes c with |c| <= M pack as label * (2M + 1) + c, which keeps the
-    (label, code) order, negative arc codes included.  The last matrix's
-    labels are kept: strong_generators searches one matrix once per
-    orbit candidate, and each of those searches would refine it again.
+    start labels the vertices 0..k-1, each label used; by default it is
+    the unit partition.  The result has the cells of the coarsest
+    equitable partition that refines start.  When start is itself
+    refined by that of the unit partition (for example, the labels of
+    the same structure without colours), the cells are those the unit
+    partition gives.  Codes c with |c| <= M pack as label * (2M + 1) + c,
+    which keeps the (label, code) order, negative arc codes included.
     """
-    return _flat_labels(len(codes), tuple(chain.from_iterable(codes)))
-
-
-@lru_cache(maxsize=1)
-def _flat_labels(n: int, flat: tuple[int, ...]) -> tuple[int, ...]:
-    # The key is one flat tuple: a tuple per row raised the peak RSS of
-    # corpus builds by about 2%.
-    rows = _sparse_rows([flat[v * n:(v + 1) * n] for v in range(n)])
     width = 2 * max((abs(c) for row in rows for _, c in row), default=0) + 1
-    return tuple(_equitable(rows, [0] * n, 1, width)[0])
+    if start is None:
+        label, classes = [0] * len(rows), 1
+    else:
+        label, classes = list(start), max(start, default=-1) + 1
+    return tuple(_equitable(rows, label, classes, width)[0])
 
 
-def find_maps(codes: list[list[int]], *, fixed=()) -> Iterator[tuple[int, ...]]:
+def find_maps(codes: list[list[int]], labels=None, *,
+              fixed=()) -> Iterator[tuple[int, ...]]:
     """Yield every bijection phi with codes[phi(u)][phi(v)] == codes[u][v].
 
-    fixed is a sequence of (v, w) pairs pinning phi(v) = w.  Maps come out
-    in lexicographic order of the image tuple.  codes must be symmetric
-    (graphs) or antisymmetric (orientations) off the diagonal, as every
-    matrix built here is; then a matching row entry implies the matching
-    column entry, so only rows are compared.
+    labels are the matrix's equitable labels, as equitable_labels gives
+    them, from a caller that has them; otherwise the matrix is refined
+    here.  fixed is a sequence of (v, w) pairs pinning phi(v) = w.  Maps
+    come out in lexicographic order of the image tuple.  codes must be
+    symmetric (graphs) or antisymmetric (orientations) off the diagonal,
+    as every matrix built here is; then a matching row entry implies the
+    matching column entry, so only rows are compared.
     """
     n = len(codes)
-    label = _labels(codes)
+    label = equitable_labels(_sparse_rows(codes)) if labels is None else labels
     cell: dict[int, list[int]] = {}
     for w in range(n):
         cell.setdefault(label[w], []).append(w)
@@ -151,10 +172,11 @@ def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ..
     before level i generate the stabiliser of 0..i, and each point w of
     the orbit of i that they do not yet reach adds the first map pinning
     0..i-1 and sending i to w (Schreier-Sims transversals).  The order
-    is the product of the orbit lengths.
+    is the product of the orbit lengths.  The matrix is refined once,
+    and every search below reuses its labels.
     """
     n = len(codes)
-    label = _labels(codes)
+    label = equitable_labels(_sparse_rows(codes))
     gens: list[tuple[int, ...]] = []
     order = 1
     for i in range(n - 1, -1, -1):
@@ -163,7 +185,7 @@ def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ..
         for w in range(i + 1, n):
             if label[w] != label[i] or w in orbit:
                 continue
-            img = next(find_maps(codes, fixed=pinned + ((i, w),)), None)
+            img = next(find_maps(codes, label, fixed=pinned + ((i, w),)), None)
             if img is None:
                 continue
             gens.append(img)
@@ -278,13 +300,14 @@ def _reaches(w: int, targets: list[int], autos, path: list[int]) -> bool:
     return any(t in orbit for t in targets)
 
 
-def nontrivial_map(codes: list[list[int]]) -> tuple[int, ...] | None:
+def nontrivial_map(codes: list[list[int]], labels=None) -> tuple[int, ...] | None:
     """Least non-identity symmetry of a code matrix, or None.
 
-    The identity is the lexicographically least bijection, so it is always
-    the first map yielded; the next one, if any, is the answer.
+    labels are passed on to find_maps.  The identity is the
+    lexicographically least bijection, so it is always the first map
+    yielded; the next one, if any, is the answer.
     """
-    it = find_maps(codes)
+    it = find_maps(codes, labels)
     if next(it, None) != tuple(range(len(codes))):
         raise AssertionError("identity map must always be valid")
     return next(it, None)

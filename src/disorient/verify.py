@@ -449,8 +449,8 @@ _CHECKERS = {
 
 
 def _verify_worker(args):
-    theorem_id, label, cap = args
-    return _CHECKERS[theorem_id](parse("graph6", label), cap)
+    theorem_id, g, cap = args
+    return _CHECKERS[theorem_id](g, cap)
 
 
 def _run_tasks(worker, tasks, jobs: int):
@@ -485,7 +485,7 @@ def verify_theorem(corpus: Corpus, theorem_id: str, *,
         known = ", ".join(THEOREM_IDS)
         raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {known}")
     started = time.perf_counter()
-    tasks = [(theorem_id, label, edge_cap) for label in corpus.labels]
+    tasks = [(theorem_id, g, edge_cap) for g in corpus.entries]
     results = _run_tasks(_verify_worker, tasks, jobs)
     return _assemble(theorem_id, corpus.labels, results, started)
 

@@ -1,5 +1,6 @@
 """Distinguishing index for graphs, orientations and rooted trees."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from disorient import (
     Permutation,
     RootedTree,
     colour_preserving_automorphism,
+    complete_bipartite_graph,
     complete_graph,
     connected_graphs,
     count_optimal_rooted_colourings,
@@ -19,6 +21,7 @@ from disorient import (
     dprime,
     dprime_at_most,
     encode_graph6,
+    enumerate_orientations,
     is_distinguishing,
     path_graph,
     preserves,
@@ -26,6 +29,8 @@ from disorient import (
     star_graph,
     trees,
 )
+from disorient.distinguishing import (_candidate_strings, _prior_twins,
+                                      _twin_cliques, _width_floor)
 
 
 def _directed_triangle():
@@ -163,6 +168,73 @@ class TestDprime:
         assert dprime_at_most(g, 2) is None
         r = dprime_at_most(g, 3)
         assert r is not None and r.value == 3
+
+    def test_witness_is_the_oracle_first_hit(self):
+        for n in range(3, 6):
+            for g in connected_graphs(n):
+                for x in [g] + enumerate_orientations(g):
+                    r = dprime(x)
+                    assert r.witness.assignment == \
+                        oracles.brute_first_distinguishing(x, r.value), encode_graph6(g)
+                    if r.value > 1:
+                        assert oracles.brute_first_distinguishing(x, r.value - 1) is None
+
+    def test_witnesses_pinned(self):
+        # every connected graph on 3..7 vertices, and the orientation
+        # representatives of those with at most 8 edges: 17 188 inputs
+        lines = []
+        for n in range(3, 8):
+            for g in connected_graphs(n):
+                xs = [(g, "-")]
+                if g.m <= 8:
+                    xs += [(o, str(o.vector)) for o in enumerate_orientations(g)]
+                for x, tag in xs:
+                    r = dprime(x)
+                    lines.append(f"{encode_graph6(g)} {tag} {r.value} "
+                                 + "".join(map(str, r.witness.assignment)))
+        assert len(lines) == 17188
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "6269f9b645cd7ddee8fe62e062464f539bed9a715879d6ed4b2a61490e010676"
+
+
+class TestCandidates:
+    def test_candidate_strings_match_filter(self):
+        for m in range(0, 7):
+            groups = [[]]  # disjoint cliques, as _twin_cliques gives them
+            if m >= 3:
+                groups += [[[0, m - 1]], [list(range(m))]]
+            if m >= 4:
+                groups.append([[0, 2], [1, 3]])
+            for cliques in groups:
+                prior = _prior_twins(m, cliques)
+                for k in range(1, 5):
+                    assert list(_candidate_strings(m, k, prior)) == \
+                        oracles.restricted_growth_strings(m, k, cliques), (m, k, cliques)
+
+    def test_width_floor_below_the_index(self):
+        for n in range(3, 8):
+            for g in connected_graphs(n):
+                r = dprime(g)
+                if r.value == 1:
+                    continue  # the floor bounds structures that are not rigid
+                floor = _width_floor(g, _twin_cliques(g))
+                assert floor <= r.value, encode_graph6(g)
+                if n <= 5:
+                    assert floor <= oracles.brute_dprime(g), encode_graph6(g)
+
+    def test_open_twins_raise_the_floor(self):
+        # five vertices share the neighbourhood {0, 1}: 5 colour vectors
+        # on 2 edges need 3 colours, and the floor is the index
+        g = complete_bipartite_graph(2, 5)
+        assert _width_floor(g, _twin_cliques(g)) == 3 == dprime(g).value
+        assert _width_floor(star_graph(4), []) == 4
+        # orientations keep only their pendant-arc cliques
+        for o in enumerate_orientations(g):
+            assert _width_floor(o, _twin_cliques(o)) == 2
+        o = Orientation.from_vector(star_graph(4), 0b0011)
+        assert _width_floor(o, _twin_cliques(o)) == 2
+        o = Orientation.from_vector(star_graph(4), 0b0001)
+        assert _width_floor(o, _twin_cliques(o)) == 3
 
 
 class TestRooted:

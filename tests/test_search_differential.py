@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import oracles
 from disorient import Graph, Orientation, are_isomorphic, cycle_graph
-from disorient.search import _flat_labels, codes_for, find_maps, strong_generators
+from disorient import search
+from disorient.search import (code_rows, codes_for, equitable_labels,
+                              find_maps, strong_generators)
 
 MAX_N = 6
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -22,17 +24,17 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None,
 
 
 @st.composite
-def graphs(draw, min_n=1):
-    n = draw(st.integers(min_n, MAX_N))
+def graphs(draw, min_n=1, max_n=MAX_N):
+    n = draw(st.integers(min_n, max_n))
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     return Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
 
 
 @st.composite
-def structures(draw):
+def structures(draw, max_n=MAX_N):
     """(structure, colours): a graph or orientation, colours None or per edge."""
-    g = draw(graphs())
+    g = draw(graphs(max_n=max_n))
     x = g
     if draw(st.booleans()):
         x = Orientation.from_vector(g, draw(st.integers(0, (1 << g.m) - 1)))
@@ -95,17 +97,53 @@ def test_strong_generators_match_oracle(case):
     assert set(gens) <= set(images)
 
 
-def test_strong_generators_refine_once():
+def _cells(labels):
+    cells = {}
+    for v, lab in enumerate(labels):
+        cells.setdefault(lab, []).append(v)
+    return sorted(cells.values())
+
+
+@SETTINGS
+@given(structures(max_n=7))
+def test_rows_are_the_matrix_entries(case):
+    x, colours = case
+    codes = codes_for(x, colours)
+    rows = code_rows(x, colours)
+    assert [sorted(row) for row in rows] == \
+        [[(u, c) for u, c in enumerate(row) if c] for row in codes]
+
+
+@SETTINGS
+@given(structures(max_n=7))
+def test_refinement_from_plain_labels_reaches_the_same_cells(case):
+    # a partition equitable with colours is equitable without them, so
+    # starting from the uncoloured labels loses no split
+    x, colours = case
+    plain = equitable_labels(code_rows(x))
+    unit = equitable_labels(code_rows(x, colours))
+    assert _cells(equitable_labels(code_rows(x, colours), plain)) == _cells(unit)
+    assert list(find_maps(codes_for(x, colours), unit)) == _expected(x, colours)
+
+
+def test_strong_generators_refine_once(monkeypatch):
+    # one refinement of the matrix, however many searches reuse it
     codes = codes_for(cycle_graph(6))
-    _flat_labels.cache_clear()
+    refine, calls = search.equitable_labels, []
+
+    def spy(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(search, "equitable_labels", spy)
     gens, order = strong_generators(codes)
     assert order == 12
-    assert _flat_labels.cache_info().misses == 1
-    assert _flat_labels.cache_info().hits >= len(gens)
+    assert len(gens) >= 2
+    assert len(calls) == 1
 
 
 def test_matrix_changed_in_place_is_refined_again():
-    # the cached labels follow the matrix's entries, not the list object
+    # nothing is cached per matrix: the maps follow its current entries
     g = cycle_graph(5)
     colours = (2,) + (1,) * (g.m - 1)  # edge (0, 1) set apart
     codes = codes_for(g, colours)

@@ -166,6 +166,19 @@ class TestVerifyTheorem:
         parallel = verify_theorem(corpus, "cor3", jobs=2)
         assert _stable(serial) == _stable(parallel)
 
+    def test_checks_take_the_parsed_graphs(self, monkeypatch):
+        # the corpus holds each graph parsed; the checks do not parse again
+        corpus = Corpus.from_lines(["Bw", "Cs", "DhC"])
+
+        def no_parse(*args):
+            raise AssertionError("graph parsed again")
+
+        monkeypatch.setattr(verify, "parse", no_parse)
+        for tid in ("cor3", "cor6", "thm7"):
+            for jobs in (1, 2):
+                r = verify_theorem(corpus, tid, jobs=jobs)
+                assert r.total == r.passed + len(r.violations) + len(r.skipped) == 3
+
     def test_import_loads_no_process_pool(self):
         # multiprocessing costs every process memory; only jobs > 1 needs it
         src = str(Path(verify.__file__).parents[1])
