@@ -450,7 +450,9 @@ _CHECKERS = {
 
 def _verify_worker(args):
     theorem_id, g, cap = args
-    return _CHECKERS[theorem_id](g, cap)
+    # a twin of the corpus's graph, not re-parsed: the adjacency caches a
+    # check fills then go with it instead of living on in the corpus
+    return _CHECKERS[theorem_id](Graph(g.n, g.edges), cap)
 
 
 def _run_tasks(worker, tasks, jobs: int):

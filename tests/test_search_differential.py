@@ -3,8 +3,11 @@
 Random graphs on at most six vertices, each with a random orientation or
 edge colouring, are checked against brute-force permutation filters:
 the maps find_maps yields, in order, with and without a pinned vertex,
-and the generators and group order from strong_generators.  Runs are
-derandomised so every run draws the same examples.
+and the generators and group order from strong_generators.  On up to
+seven vertices, the sparse rows built from the edges must hold the code
+matrix's entries, and refinement started from the uncoloured labels must
+reach the cells the unit partition gives.  Runs are derandomised so
+every run draws the same examples.
 """
 
 from itertools import combinations

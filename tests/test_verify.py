@@ -167,8 +167,10 @@ class TestVerifyTheorem:
         assert _stable(serial) == _stable(parallel)
 
     def test_checks_take_the_parsed_graphs(self, monkeypatch):
-        # the corpus holds each graph parsed; the checks do not parse again
+        # the corpus holds each graph parsed; the checks do not parse again,
+        # and the caches they fill do not stay on the corpus's graphs
         corpus = Corpus.from_lines(["Bw", "Cs", "DhC"])
+        before = [dict(vars(g)) for g in corpus]
 
         def no_parse(*args):
             raise AssertionError("graph parsed again")
@@ -178,6 +180,7 @@ class TestVerifyTheorem:
             for jobs in (1, 2):
                 r = verify_theorem(corpus, tid, jobs=jobs)
                 assert r.total == r.passed + len(r.violations) + len(r.skipped) == 3
+        assert [vars(g) for g in corpus] == before
 
     def test_import_loads_no_process_pool(self):
         # multiprocessing costs every process memory; only jobs > 1 needs it
