@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
+from math import isqrt
 
 
 class FormatError(ValueError):
@@ -171,46 +172,47 @@ def _decode_size(text: str) -> tuple[int, str]:
     return n, text[1:]
 
 
-def _decode_bits(data: str, count: int) -> list[int]:
+def _decode_int(data: str, count: int) -> int:
+    """data's count bits, six per character, as one int; the padding must be 0."""
     need = (count + 5) // 6
     if len(data) != need:
         raise FormatError(f"expected {need} data bytes, got {len(data)}")
-    bits: list[int] = []
+    x = 0
     for ch in data:
         code = ord(ch) - 63
         if not 0 <= code <= 63:
             raise FormatError(f"bad data byte {ch!r}")
-        bits.extend((code >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[count:]):
+        x = x << 6 | code
+    pad = 6 * need - count
+    if x & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits")
-    return bits[:count]
+    return x >> pad
 
 
-def _encode_bits(bits: list[int]) -> str:
-    while len(bits) % 6:
-        bits.append(0)
-    out = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
-
-
-def _upper_triangle_pairs(n: int):
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
+def _encode_int(x: int, count: int) -> str:
+    """Inverse of _decode_int: x's count bits, padded, six per character."""
+    need = (count + 5) // 6
+    x <<= 6 * need - count
+    return "".join([chr((x >> s & 63) + 63) for s in range(6 * need - 6, -1, -6)])
 
 
 def _parse_graph6(text: str) -> Graph:
     if text.startswith(_G6_HEADER):
         text = text[len(_G6_HEADER):]
     n, data = _decode_size(text)
-    bits = _decode_bits(data, n * (n - 1) // 2)
-    edges = [(i, j) for (i, j), b in zip(_upper_triangle_pairs(n), bits) if b]
-    return Graph.from_edges(n, edges)
+    count = n * (n - 1) // 2
+    x = _decode_int(data, count)
+    # bit k from the top holds the k-th pair (i, j) in the order j, then i:
+    # k = j(j-1)/2 + i
+    edges = []
+    while x:
+        b = x.bit_length() - 1
+        x ^= 1 << b
+        k = count - 1 - b
+        j = (1 + isqrt(8 * k + 1)) // 2
+        edges.append((k - j * (j - 1) // 2, j))
+    edges.sort()
+    return Graph(n, tuple(edges))
 
 
 def _parse_digraph6(text: str) -> Orientation:
@@ -219,18 +221,21 @@ def _parse_digraph6(text: str) -> Orientation:
     if not text.startswith("&"):
         raise FormatError("digraph6 input must start with '&'")
     n, data = _decode_size(text[1:])
-    bits = _decode_bits(data, n * n)
+    count = n * n
+    x = _decode_int(data, count)
+    # bit k from the top is the arc t -> h with k = t * n + h; the arcs
+    # are read in that order
     arcs = []
-    for t in range(n):
-        for h in range(n):
-            if bits[t * n + h]:
-                if t == h:
-                    raise FormatError("not an orientation: loop")
-                if bits[h * n + t] and h < t:
-                    raise FormatError("not an orientation: opposite arcs")
-                arcs.append((t, h))
-    if any(bits[h * n + t] and bits[t * n + h] for t, h in arcs):
-        raise FormatError("not an orientation: opposite arcs")
+    rest = x
+    while rest:
+        b = rest.bit_length() - 1
+        rest ^= 1 << b
+        t, h = divmod(count - 1 - b, n)
+        if t == h:
+            raise FormatError("not an orientation: loop")
+        if h < t and x >> (count - 1 - (h * n + t)) & 1:
+            raise FormatError("not an orientation: opposite arcs")
+        arcs.append((t, h))
     base = Graph.from_edges(n, arcs)
     return Orientation.from_arcs(base, arcs)
 
@@ -284,21 +289,25 @@ def parse(fmt: str, text: str) -> Graph | Orientation:
 
 
 def encode_graph6(g: Graph) -> str:
-    if g.n > 62:
+    n = g.n
+    if n > 62:
         raise ValueError("graph6 encoding supported only for n <= 62")
-    present = set(g.edges)
-    bits = [1 if (i, j) in present else 0 for i, j in _upper_triangle_pairs(g.n)]
-    return chr(g.n + 63) + _encode_bits(bits)
+    count = n * (n - 1) // 2
+    x = 0
+    for i, j in g.edges:
+        x |= 1 << (count - 1 - (j * (j - 1) // 2 + i))
+    return chr(n + 63) + _encode_int(x, count)
 
 
 def encode_digraph6(o: Orientation) -> str:
     n = o.base.n
     if n > 62:
         raise ValueError("digraph6 encoding supported only for n <= 62")
-    mat = [0] * (n * n)
+    count = n * n
+    x = 0
     for t, h in o.arcs:
-        mat[t * n + h] = 1
-    return "&" + chr(n + 63) + _encode_bits(mat)
+        x |= 1 << (count - 1 - (t * n + h))
+    return "&" + chr(n + 63) + _encode_int(x, count)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +331,26 @@ class CenterInfo:
     vertices: tuple[int, ...]
 
 
+def neighbour_masks(g: Graph) -> list[int]:
+    """Bit w of entry v is set when vw is an edge; fills no cache on g."""
+    bits = [0] * g.n
+    for u, v in g.edges:
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    return bits
+
+
 def is_connected(g: Graph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    """Breadth-first search on neighbour bitmasks; fills no cache on g."""
+    bits = neighbour_masks(g)
+    reach = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        fresh = bits[low.bit_length() - 1] & ~reach
+        reach |= fresh
+        frontier |= fresh
+    return reach == (1 << g.n) - 1
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

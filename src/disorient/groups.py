@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator
 
-from .graphs import Graph, HungTree, Orientation
+from .graphs import Graph, HungTree, Orientation, neighbour_masks
 from .search import codes_for, find_maps, nontrivial_map, strong_generators
 
 DEFAULT_GROUP_CAP = 10 ** 6
@@ -222,10 +222,7 @@ def is_rigid(x: Graph | Orientation) -> bool:
     orientation, goes to the search.
     """
     if isinstance(x, Graph):
-        masks = [0] * x.n
-        for u, v in x.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        masks = neighbour_masks(x)
         if len(set(masks)) < x.n or \
                 len({b | 1 << v for v, b in enumerate(masks)}) < x.n:
             return False

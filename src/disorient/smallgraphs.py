@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graphs import (Graph, bipartition, encode_graph6, hang_centre,
-                     is_claw_free)
+                     is_claw_free, neighbour_masks)
 from .search import canonical_form, graph_codes, strong_generators
 
 
@@ -193,7 +193,7 @@ def _grow(parents, keep=None) -> tuple[Graph, ...]:
     for g in parents:
         n = g.n
         codes = graph_codes(g)
-        bits = [sum(1 << u for u in g.adj[v]) for v in range(n)]
+        bits = neighbour_masks(g)
         for mask in _least_masks(n, strong_generators(codes)[0]):
             if keep is not None and not keep(bits, mask):
                 continue

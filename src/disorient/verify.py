@@ -6,6 +6,9 @@ skip naming the unmet hypothesis or exceeded cap.  Conjecture scans
 follow the same shape but treat a counterexample as a reported finding,
 not an error; their distinguishing values can be cached in an
 append-only JSON-lines file so interrupted sweeps resume cheaply.
+Workers take each graph as the corpus parsed it and work on a twin of
+it: nothing is parsed twice, and the caches a check fills leave with
+the twin instead of staying on the corpus.
 
 A conjecture scan tries the paper's certificates before any search.
 Each ends in an exact test, so a value it gives is exact and a
@@ -609,9 +612,11 @@ _UNKNOWN = object()
 
 
 def _scan_worker(args):
-    canon, which, cap, known_d, known_odm = args
-    g = parse("graph6", canon)
-    out = {"canon": canon, "dprime": known_d, "od_minus": known_odm}
+    g, which, cap, known_d, known_odm = args
+    # a twin of the corpus's graph, as in _verify_worker: nothing is
+    # parsed again, and the caches the checks fill leave with the twin
+    g = Graph(g.n, g.edges)
+    out = {"dprime": known_d, "od_minus": known_odm}
     if not is_connected(g):
         out["result"] = _skip("disconnected")
         return out
@@ -687,19 +692,16 @@ def scan_conjectures(corpus: Corpus, which="both", *,
     started = time.perf_counter()
     cache = _load_cache(cache_path) if cache_path else {}
 
-    tasks = []
-    for g in corpus.entries:
-        canon = encode_graph6(g)
-        known_d, known_odm, _ = cache.get(canon, _NO_ROW)
-        tasks.append((canon, which, edge_cap, known_d, known_odm))
+    canons = [encode_graph6(g) for g in corpus.entries]
+    tasks = [(g, which, edge_cap, *cache.get(canon, _NO_ROW)[:2])
+             for g, canon in zip(corpus.entries, canons)]
     outs = _run_tasks(_scan_worker, tasks, jobs)
 
     if cache_path:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         fresh = []
         written = set()
-        for out in outs:
-            canon = out["canon"]
+        for canon, out in zip(canons, outs):
             old = cache.get(canon, _NO_ROW)
             if canon in written:
                 continue

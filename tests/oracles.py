@@ -163,6 +163,20 @@ def brute_longest_cycle_length(g: Graph) -> int:
     return best
 
 
+def brute_connected(n: int, edges) -> bool:
+    """Breadth-first search from vertex 0 over a list of edge pairs."""
+    reached = {0}
+    queue = [0]
+    for v in queue:
+        for e in edges:
+            if v in e:
+                w = e[0] + e[1] - v
+                if w not in reached:
+                    reached.add(w)
+                    queue.append(w)
+    return len(reached) == n
+
+
 def brute_traceable(g: Graph) -> bool:
     if g.n == 1:
         return True
@@ -253,6 +267,35 @@ def graph6_of(n: int, edges) -> str:
             varv = varv * 2 + b
         out.append(chr(varv + 63))
     return "".join(out)
+
+
+def _bit_list(data: str, count: int) -> list[int]:
+    """The first count bits of data, six per character, highest first."""
+    bits = []
+    for ch in data:
+        varv = ord(ch) - 63
+        assert 0 <= varv <= 63, f"bad data byte {ch!r}"
+        for k in range(5, -1, -1):
+            bits.append(varv >> k & 1)
+    assert len(bits) - count in range(6) and not any(bits[count:]), \
+        "wrong length or nonzero padding"
+    return bits[:count]
+
+
+def graph6_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and sorted edges of a valid graph6 string, n <= 62."""
+    n = ord(text[0]) - 63
+    bits = _bit_list(text[1:], n * (n - 1) // 2)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return n, sorted(p for p, b in zip(pairs, bits) if b)
+
+
+def digraph6_arcs(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and arcs, in row order, of a valid digraph6 string."""
+    assert text[0] == "&"
+    n = ord(text[1]) - 63
+    bits = _bit_list(text[2:], n * n)
+    return n, [(t, h) for t in range(n) for h in range(n) if bits[t * n + h]]
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,34 @@ class TestParse:
         with pytest.raises(ValueError):
             parse("nonsense", "Bw")
 
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("graph6", "", "empty input"),
+        ("graph6", "~", "graphs with more than 62 vertices are not supported"),
+        ("graph6", ">", "bad size byte '>'"),
+        ("graph6", "?", "vertex count 0"),
+        ("graph6", "B", "expected 1 data bytes, got 0"),
+        ("graph6", "Bww", "expected 1 data bytes, got 2"),
+        ("graph6", "B\x7f\x7f", "expected 1 data bytes, got 2"),
+        ("graph6", "D?\x7f", "bad data byte '\\x7f'"),
+        ("graph6", "D>x", "bad data byte '>'"),
+        ("graph6", "Bx", "nonzero padding bits"),
+        ("graph6", "D?A", "nonzero padding bits"),
+        ("digraph6", "Bw", "digraph6 input must start with '&'"),
+        ("digraph6", "&A", "expected 1 data bytes, got 0"),
+        ("digraph6", "&Aww", "expected 1 data bytes, got 2"),
+        ("digraph6", "&A\x7f", "bad data byte '\\x7f'"),
+        ("digraph6", "&A@", "nonzero padding bits"),
+        ("digraph6", "&A" + chr(0b000011 + 63), "nonzero padding bits"),
+        ("digraph6", "&@_", "not an orientation: loop"),
+        # the first defect in row order names the error
+        ("digraph6", "&A" + chr(0b111000 + 63), "not an orientation: loop"),
+        ("digraph6", "&A" + chr(0b011100 + 63), "not an orientation: opposite arcs"),
+    ])
+    def test_format_error_messages(self, fmt, text, message):
+        with pytest.raises(FormatError) as info:
+            parse(fmt, text)
+        assert str(info.value) == message
+
     def test_disconnected_accepted(self):
         g = parse("edgelist", "4\n0 1\n2 3")
         assert not is_connected(g)
@@ -93,14 +121,21 @@ class TestEncode:
         assert encode_graph6(parse("graph6", "Bw")) == "Bw"
 
     def test_round_trip_small_corpus(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for g in connected_graphs(n):
                 assert parse("graph6", encode_graph6(g)) == g
 
     def test_matches_independent_encoder(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for g in connected_graphs(n):
                 assert encode_graph6(g) == oracles.graph6_of(g.n, g.edges)
+
+    def test_parse_matches_independent_decoder(self):
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                text = oracles.graph6_of(g.n, g.edges)
+                assert oracles.graph6_edges(text) == (g.n, list(g.edges))
+                assert parse("graph6", text) == g
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
@@ -141,6 +176,15 @@ FUZZ_TEXT = st.one_of(
 
 
 @st.composite
+def graphs_to_62(draw):
+    """A graph on up to 62 vertices, every pair an edge or not by one int."""
+    n = draw(st.integers(1, 62))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, tuple(sorted(e for k, e in enumerate(pairs) if mask >> k & 1)))
+
+
+@st.composite
 def random_graphs(draw):
     n = draw(st.integers(1, 20))
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
@@ -166,6 +210,42 @@ class TestParseFuzz:
         o = Orientation(g, tuple(data.draw(st.lists(
             st.booleans(), min_size=g.m, max_size=g.m))))
         assert parse("digraph6", encode_digraph6(o)) == o
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(graphs_to_62(), st.data())
+    def test_codecs_match_independent_ones(self, g, data):
+        text = encode_graph6(g)
+        assert text == oracles.graph6_of(g.n, g.edges)
+        assert oracles.graph6_edges(text) == (g.n, list(g.edges))
+        assert parse("graph6", text) == g
+        o = Orientation.from_vector(g, data.draw(st.integers(0, (1 << g.m) - 1)))
+        text = encode_digraph6(o)
+        assert oracles.digraph6_arcs(text) == (g.n, sorted(o.arcs))
+        assert parse("digraph6", text) == o
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(sized_bodies())
+    def test_parse_agrees_with_independent_decoder(self, text):
+        # each body has the right length and valid bytes, so the only
+        # defects are padding and, in digraph6, loops and opposite arcs
+        try:
+            if text.startswith("&"):
+                n, arcs = oracles.digraph6_arcs(text)
+            else:
+                n, edges = oracles.graph6_edges(text)
+        except AssertionError:
+            with pytest.raises(FormatError, match="nonzero padding bits"):
+                parse("digraph6" if text.startswith("&") else "graph6", text)
+            return
+        if not text.startswith("&"):
+            assert parse("graph6", text) == Graph(n, tuple(edges))
+            return
+        pairs = {frozenset(a) for a in arcs}
+        if any(t == h for t, h in arcs) or len(pairs) < len(arcs):
+            with pytest.raises(FormatError, match="not an orientation"):
+                parse("digraph6", text)
+        else:
+            assert sorted(parse("digraph6", text).arcs) == arcs
 
 
 class TestGraphBasics:
@@ -225,6 +305,25 @@ class TestStructure:
         assert not is_tree(cycle_graph(5))
         assert is_claw_free(cycle_graph(6))
         assert not is_claw_free(star_graph(3))
+
+    def test_is_connected_vs_brute_search(self):
+        rng = random.Random(19)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            p = rng.choice((0.1, 0.25, 0.5))
+            g = Graph.from_edges(n, [(i, j) for j in range(1, n) for i in range(j)
+                                     if rng.random() < p])
+            want = oracles.brute_connected(g.n, g.edges)
+            assert is_connected(g) == want, encode_graph6(g)
+            seen.add((n == 1, want))
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_is_connected_fills_no_cache(self):
+        for g in (cycle_graph(5), Graph.from_edges(4, [(0, 1), (2, 3)])):
+            before = dict(vars(g))
+            is_connected(g)
+            assert vars(g) == before
 
     def test_hamiltonian_path_is_least(self):
         # the search returns the lexicographically smallest witness

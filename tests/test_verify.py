@@ -1,5 +1,6 @@
 """Verification harness: reports, skips, caching, parallel equality."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -293,6 +294,42 @@ class TestScanConjectures:
         assert not r.ok
         assert r.violations[0].graph6 == canon
         assert "rigid orientation" in r.violations[0].expected
+
+    def test_scan_takes_the_parsed_graphs(self, tmp_path, monkeypatch):
+        # as in verify_theorem: no graph is parsed again, cold or warm,
+        # and the caches the scan fills do not stay on the corpus's graphs
+        corpus = Corpus.from_lines(["A_", "Bw", "C?", "Cs", "DhC", "E?bw"])
+        before = [dict(vars(g)) for g in corpus]
+
+        def no_parse(*args):
+            raise AssertionError("graph parsed again")
+
+        monkeypatch.setattr(verify, "parse", no_parse)
+        for jobs in (1, 2):
+            cache = tmp_path / f"scan{jobs}.jsonl"
+            for _ in range(2):  # cold, then warm
+                r = scan_conjectures(corpus, cache_path=cache, jobs=jobs)
+                assert r.total == r.passed + len(r.violations) + len(r.skipped) == 6
+        assert [vars(g) for g in corpus] == before
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_pinned_cold_and_warm(self, tmp_path, jobs):
+        # SHA-256 of each row's g6, dprime and od_minus in file order: the
+        # values a cold scan of every connected graph on at most 7
+        # vertices settles, as the searches alone give them
+        corpus = Corpus.from_graphs(
+            g for n in range(1, 8) for g in connected_graphs(n))
+        cache = tmp_path / "scan.jsonl"
+        cold = scan_conjectures(corpus, cache_path=cache, jobs=jobs)
+        text = cache.read_text()
+        warm = scan_conjectures(corpus, cache_path=cache, jobs=jobs)
+        assert _stable(warm) == _stable(cold)
+        assert cache.read_text() == text  # the warm pass appends nothing
+        digest = hashlib.sha256("\n".join(
+            " ".join(str(row[k]) for k in ("g6", "dprime", "od_minus"))
+            for row in map(json.loads, text.splitlines())).encode()).hexdigest()
+        assert digest == \
+            "79372419debf7d17afa6a933e71f016c371f7eb868dc95ee3728ee7d873551fd"
 
     def test_jobs_match_serial(self):
         corpus = _corpus(complete_graph(3), path_graph(3), cycle_graph(5))
