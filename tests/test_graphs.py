@@ -128,12 +128,8 @@ class TestEncode:
     def test_matches_independent_encoder(self):
         for n in range(1, 8):
             for g in connected_graphs(n):
-                assert encode_graph6(g) == oracles.graph6_of(g.n, g.edges)
-
-    def test_parse_matches_independent_decoder(self):
-        for n in range(1, 8):
-            for g in connected_graphs(n):
                 text = oracles.graph6_of(g.n, g.edges)
+                assert encode_graph6(g) == text
                 assert oracles.graph6_edges(text) == (g.n, list(g.edges))
                 assert parse("graph6", text) == g
 
