@@ -30,7 +30,7 @@ from .graphs import (CenterInfo, FormatError, Graph, HungTree, Orientation,
                      StructureReport, analyze, bipartition, encode_digraph6,
                      encode_graph6, hamiltonian_path, hang, hang_centre,
                      is_claw_free, is_connected, is_tree, longest_cycle,
-                     parse, tree_center)
+                     longest_path, parse, tree_center)
 from .groups import (DEFAULT_GROUP_CAP, NOT_FIXED, POINTWISE, SETWISE_ONLY,
                      AutGroup, GroupSizeError, Permutation, arc_permutation,
                      arcs_of, automorphism_generators, automorphism_group,

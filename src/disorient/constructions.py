@@ -205,7 +205,9 @@ def hamiltonian_orientation(g: Graph, path=None) -> Orientation:
     an automorphism keeps each vertex's count.  Each reachable set is a
     bitmask built in one pass in reverse path order from the sets of the
     out-neighbours, which are complete by then since every arc points
-    later on the path.  A tie raises ConstructionError.
+    later on the path.  A tie raises ConstructionError.  The sets are
+    read off out-neighbour bitmasks of the result, so no adjacency cache
+    is filled on g or on the result.
     """
     if path is None:
         path = hamiltonian_path(g)
@@ -214,15 +216,24 @@ def hamiltonian_orientation(g: Graph, path=None) -> Orientation:
     path = tuple(path)
     if sorted(path) != list(range(g.n)):
         raise ValueError("path does not visit every vertex exactly once")
-    if any(not g.has_edge(a, b) for a, b in zip(path, path[1:])):
-        raise ValueError("path is not a path of the graph")
     pos = _positions(path)
     o = Orientation(g, tuple(pos[u] < pos[v] for u, v in g.edges))
+    out = [0] * g.n
+    for (u, v), forward in zip(g.edges, o.forward):
+        if forward:
+            out[u] |= 1 << v
+        else:
+            out[v] |= 1 << u
+    if any(not (out[a] >> b | out[b] >> a) & 1 for a, b in zip(path, path[1:])):
+        raise ValueError("path is not a path of the graph")
     reach = [0] * g.n
     for v in reversed(path):
         mask = 1 << v
-        for w in o.out_adj[v]:
-            mask |= reach[w]
+        rest = out[v]
+        while rest:
+            low = rest & -rest
+            mask |= reach[low.bit_length() - 1]
+            rest ^= low
         reach[v] = mask
     if len({mask.bit_count() for mask in reach}) < g.n:
         raise ConstructionError(

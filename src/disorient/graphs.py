@@ -392,39 +392,67 @@ def is_claw_free(g: Graph) -> bool:
     return True
 
 
+def _path_walk(bits: list[int]) -> tuple[int, ...]:
+    """Lexicographically least longest path on neighbour bitmasks.
+
+    One iterative depth-first walk over every simple path, starts and
+    then each next vertex in ascending order, so paths come in
+    lexicographic order and the first one longer than all before it is
+    the least of its length.  A path through every vertex ends the walk.
+    """
+    n = len(bits)
+    best = (0,)
+    longest = 1
+    for s in range(n):
+        path = [s]
+        seen = 1 << s
+        todo = [bits[s]]
+        depth = 1
+        while depth:
+            cand = todo[-1] & ~seen
+            if cand:
+                low = cand & -cand
+                todo[-1] = cand ^ low
+                w = low.bit_length() - 1
+                path.append(w)
+                seen |= low
+                depth += 1
+                if depth > longest:
+                    best = tuple(path)
+                    longest = depth
+                    if depth == n:
+                        return best
+                todo.append(bits[w])
+            else:
+                todo.pop()
+                seen ^= 1 << path.pop()
+                depth -= 1
+    return best
+
+
+def longest_path(g: Graph) -> tuple[int, ...]:
+    """Lexicographically least path of maximum length; fills no cache on g.
+
+    When g is traceable this is hamiltonian_path(g), found by the same
+    walk, which stops at the first path through every vertex.
+    """
+    return _path_walk(neighbour_masks(g))
+
+
 def hamiltonian_path(g: Graph) -> tuple[int, ...] | None:
     """Lexicographically least Hamiltonian path, or None.
 
-    Exhaustive backtracking; candidates are tried in ascending order so the
-    first complete path found is the least one.  A path has two ends, and
-    every other vertex on it has two neighbours, so with three or more
-    vertices of degree at most 1 there is none to search for.
+    Exhaustive walk over simple paths in lexicographic order, stopped at
+    the first through every vertex (the one longest_path finds).  A path
+    has two ends, and every other vertex on it has two neighbours, so
+    with three or more vertices of degree at most 1 there is none to
+    search for.  Fills no cache on g.
     """
-    n = g.n
-    if n == 1:
-        return (0,)
-    if sum(len(a) <= 1 for a in g.adj) >= 3:
+    bits = neighbour_masks(g)
+    if sum(b & (b - 1) == 0 for b in bits) >= 3:
         return None
-    order = [sorted(g.adj[v]) for v in range(n)]
-    path: list[int] = []
-
-    def extend(v: int, visited: int) -> tuple[int, ...] | None:
-        path.append(v)
-        if len(path) == n:
-            return tuple(path)
-        for w in order[v]:
-            if not visited >> w & 1:
-                found = extend(w, visited | 1 << w)
-                if found:
-                    return found
-        path.pop()
-        return None
-
-    for s in range(n):
-        found = extend(s, 1 << s)
-        if found:
-            return found
-    return None
+    path = _path_walk(bits)
+    return path if len(path) == g.n else None
 
 
 def longest_cycle(g: Graph) -> tuple[int, ...] | None:

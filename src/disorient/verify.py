@@ -6,27 +6,32 @@ skip naming the unmet hypothesis or exceeded cap.  Conjecture scans
 follow the same shape but treat a counterexample as a reported finding,
 not an error; their distinguishing values can be cached in an
 append-only JSON-lines file so interrupted sweeps resume cheaply.
-Workers take each graph as the corpus parsed it and work on a twin of
-it: nothing is parsed twice, and the caches a check fills leave with
-the twin instead of staying on the corpus.
+Workers take each graph as the corpus parsed it, and work on a twin of
+it when they compute a value: nothing is parsed twice, and the caches a
+check fills leave with the twin instead of staying on the corpus.
 
 A conjecture scan tries the paper's certificates before any search.
 Each ends in an exact test, so a value it gives is exact and a
 certificate that fails costs only time.  D' is 1 when the graph is
 rigid; two twin vertices, with equal open or closed neighbourhoods,
 show at once that it is not, since swapping them is a symmetry.
-Otherwise one Hamiltonian path, computed only for a value the cache
-lacks, serves twice.  Colouring its edges 1 and the others 2 leaves the
-identity and the path's reversal as the only candidate symmetries, and
-the reversal keeps the colouring exactly when it is an automorphism, so
-when it is not, D' = 2.  When it is, the path and one chord coloured 1
-are tried in edge order, each by the exact stabiliser test; a hit also
-gives D' = 2.  At D' = 2 the orientation along the path is rigid
+Otherwise one walk over the graph's paths, made only for a value the
+cache lacks, gives the least longest path, which is Hamiltonian when
+the graph is traceable, and serves twice.  Colouring its edges 1 and
+the others 2 leaves only symmetries that map the path onto itself.  For
+a Hamiltonian path those are the identity and the path's reversal, and
+the reversal keeps the colouring exactly when it is an automorphism;
+for a shorter path the exact stabiliser test decides.  When the
+colouring is not distinguishing, the path and one chord coloured 1 are
+tried in edge order, each by the exact stabiliser test.  A hit gives
+D' = 2.  At D' = 2 the orientation along a Hamiltonian path is rigid
 (Theorem 8); for claw-free graphs on six or more vertices the claw-free
 construction (Theorem 12) comes next.  A construction whose output
-keeps a symmetry raises ConstructionError.  What no certificate settles
-is searched as before: dprime, then find_rigid_orientation, then
-od_minus.
+keeps a symmetry raises ConstructionError.  Then the distinguishing
+2-colouring found, by a certificate or by dprime, is oriented: each
+colour-1 edge in its canonical direction, each colour-2 edge reversed,
+and is_rigid tests the result.  What no certificate settles is
+searched as before: dprime, then find_rigid_orientation, then od_minus.
 """
 
 from __future__ import annotations
@@ -45,9 +50,9 @@ from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
                             compatible_orientation, hamiltonian_orientation,
                             tree_od_values)
 from .distinguishing import Colouring, dprime, is_distinguishing
-from .graphs import (FormatError, Graph, bipartition, encode_digraph6,
-                     encode_graph6, hamiltonian_path, is_claw_free,
-                     is_connected, parse)
+from .graphs import (FormatError, Graph, Orientation, bipartition,
+                     encode_digraph6, encode_graph6, hamiltonian_path,
+                     is_claw_free, is_connected, longest_path, parse)
 from .groups import (NOT_FIXED, Permutation, automorphism_generators,
                      automorphism_group, edge_action, fixed_set_status,
                      is_automorphism, is_rigid, is_twisted)
@@ -569,31 +574,40 @@ def _path_distinguishes(g: Graph, path) -> bool:
     return not is_automorphism(g, Permutation(tuple(rev)))
 
 
-def _chord_distinguishes(g: Graph, path) -> bool:
-    """Whether the path's edges and some one chord, coloured 1, distinguish g.
+def _two_colouring(g: Graph, path) -> Colouring | None:
+    """A distinguishing 2-colouring built on path, or None.
 
-    The other edges are coloured 2.  Chords are tried in edge order, each
-    colouring by the exact stabiliser test, so True is exact.
+    path's edges are coloured 1 and the others 2; then, in edge order,
+    that colouring with one more edge coloured 1.  A Hamiltonian path's
+    colouring is decided by its reversal, any other by the exact
+    stabiliser test, so a colouring returned distinguishes g.
     """
     on_path = {g.index_of(u, v) for u, v in zip(path, path[1:])}
-    base = [1 if i in on_path else 2 for i in range(g.m)]
+    base = tuple(1 if i in on_path else 2 for i in range(g.m))
+    colouring = Colouring(2, base)
+    if (_path_distinguishes(g, path) if len(path) == g.n
+            else is_distinguishing(g, colouring)):
+        return colouring
     for i in range(g.m):
         if i in on_path:
             continue
-        colours = base.copy()
-        colours[i] = 1
-        if is_distinguishing(g, Colouring(2, tuple(colours))):
-            return True
-    return False
+        colouring = Colouring(2, base[:i] + (1,) + base[i + 1:])
+        if is_distinguishing(g, colouring):
+            return colouring
+    return None
 
 
-def _certified_rigid(g: Graph, path) -> bool:
-    """Whether one of the paper's constructions orients g rigidly.
+def _certified_rigid(g: Graph, path, witness: Colouring | None) -> bool:
+    """Whether a construction or the index witness orients g rigidly.
 
-    Each construction checks its own output for symmetry and raises
-    ConstructionError when it finds one, so True is exact.
+    path is a longest path of g, and witness a distinguishing
+    2-colouring, or None.  Each construction checks its own output for
+    symmetry and raises ConstructionError when it finds one; the
+    witness's orientation, each colour-1 edge in its canonical
+    direction and each colour-2 edge reversed, is tested with is_rigid.
+    So True is exact.
     """
-    if path is not None:
+    if len(path) == g.n:
         try:
             hamiltonian_orientation(g, path)
             return True
@@ -605,18 +619,45 @@ def _certified_rigid(g: Graph, path) -> bool:
             return True
         except ConstructionError:
             pass
-    return False
+    return witness is not None and is_rigid(
+        Orientation(g, tuple(c == 1 for c in witness.assignment)))
 
 
-_UNKNOWN = object()
+def _needs_od_minus(which: str, d: int) -> bool:
+    """Whether a scan needs the least index over orientations at D' = d.
+
+    Conjecture 1 bounds it below by d // 2, which says something only
+    when d >= 4; Conjecture 2 asks for 1 when d = 2.
+    """
+    return which != "2" and d >= 4 or which != "1" and d == 2
+
+
+def _settle(g: Graph, which: str, cap: int, d, odm):
+    """The values of (d, odm) a scan needs, computing those not known."""
+    path = witness = None  # a longest path, computed at most once
+    if d is None:
+        if is_rigid(g):
+            d = 1
+        else:
+            path = longest_path(g)
+            witness = _two_colouring(g, path)
+            if witness is None:
+                result = dprime(g)
+                d, witness = result.value, result.witness
+            else:
+                d = 2
+    if odm is None and _needs_od_minus(which, d):
+        if d == 2 and (_certified_rigid(g, path or longest_path(g), witness)
+                       or find_rigid_orientation(g, edge_cap=cap) is not None):
+            odm = 1
+        else:
+            odm = od_minus(g, edge_cap=cap)[0]
+    return d, odm
 
 
 def _scan_worker(args):
-    g, which, cap, known_d, known_odm = args
-    # a twin of the corpus's graph, as in _verify_worker: nothing is
-    # parsed again, and the caches the checks fill leave with the twin
-    g = Graph(g.n, g.edges)
-    out = {"dprime": known_d, "od_minus": known_odm}
+    g, which, cap, d, odm = args
+    out = {"dprime": d, "od_minus": odm}
     if not is_connected(g):
         out["result"] = _skip("disconnected")
         return out
@@ -626,46 +667,19 @@ def _scan_worker(args):
     if g.m > cap:
         out["result"] = _skip(f"edge count {g.m} over cap {cap}")
         return out
-    # The path is computed at most once, and only for a value not known.
-    path = _UNKNOWN
-    d = known_d
-    if d is None:
-        if is_rigid(g):
-            d = 1
-        else:
-            path = hamiltonian_path(g)
-            if path is not None and (_path_distinguishes(g, path)
-                                     or _chord_distinguishes(g, path)):
-                d = 2
-            else:
-                d = dprime(g).value
-    out["dprime"] = d
-    odm = known_odm
-
-    if which in ("1", "both"):
-        floor = d // 2
-        if floor > 1:
-            if odm is None:
-                odm = od_minus(g, edge_cap=cap)[0]
-                out["od_minus"] = odm
-            if odm < floor:
-                out["result"] = _viol(
-                    f"minimum over orientations at least {floor}", f"{odm}")
-                return out
-    if which in ("2", "both") and d == 2:
-        if odm is None:
-            if path is _UNKNOWN:
-                path = hamiltonian_path(g)
-            if (_certified_rigid(g, path)
-                    or find_rigid_orientation(g, edge_cap=cap) is not None):
-                odm = 1
-            else:
-                odm = od_minus(g, edge_cap=cap)[0]
-            out["od_minus"] = odm
-        if odm != 1:
-            out["result"] = _viol("a rigid orientation at index 2", f"{odm}")
-            return out
-    out["result"] = _PASS
+    if d is None or odm is None and _needs_od_minus(which, d):
+        # computed on a twin of the corpus's graph, as in _verify_worker:
+        # nothing is parsed again, and the caches the checks fill leave
+        # with the twin; values the cache holds need no twin
+        d, odm = _settle(Graph(g.n, g.edges), which, cap, d, odm)
+        out["dprime"], out["od_minus"] = d, odm
+    if which != "2" and d >= 4 and odm < d // 2:
+        out["result"] = _viol(
+            f"minimum over orientations at least {d // 2}", f"{odm}")
+    elif which != "1" and d == 2 and odm != 1:
+        out["result"] = _viol("a rigid orientation at index 2", f"{odm}")
+    else:
+        out["result"] = _PASS
     return out
 
 
@@ -679,12 +693,13 @@ def scan_conjectures(corpus: Corpus, which="both", *,
     are reused and new ones appended as JSON lines.
 
     Values the cache lacks come from certificates first: for D', a
-    rigidity test, then the colouring that sets a Hamiltonian path apart,
-    then that path with one chord; at D' = 2, the orientation along that
-    path, then the claw-free construction (see the module docstring).
-    Each ends in an exact symmetry test, so the report and the rows are
-    those the searches alone give; the searches run only for what no
-    certificate settles.
+    rigidity test, then the colouring that sets the least longest path
+    apart, then that path with one chord; at D' = 2, the orientation
+    along a Hamiltonian path, then the claw-free construction, then the
+    orientation of the distinguishing 2-colouring found (see the module
+    docstring).  Each ends in an exact symmetry test, so the report and
+    the rows are those the searches alone give; the searches run only
+    for what no certificate settles.
     """
     which = str(which)
     if which not in ("1", "2", "both"):

@@ -192,6 +192,16 @@ def brute_least_hamiltonian_path(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
+def brute_least_longest_path(g: Graph) -> tuple[int, ...]:
+    """First vertex sequence, in lexicographic order, of the most vertices
+    that is a path."""
+    for k in range(g.n, 0, -1):
+        for p in permutations(range(g.n), k):
+            if all(g.has_edge(p[i], p[i + 1]) for i in range(k - 1)):
+                return p
+    raise AssertionError("a graph has at least one vertex")
+
+
 def brute_tree_centre(t: Graph) -> tuple[int, ...]:
     """Vertices of least eccentricity, via pairwise BFS distances."""
     def ecc(v: int) -> int:

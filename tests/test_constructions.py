@@ -223,6 +223,12 @@ class TestHamiltonianOrientation:
                     assert is_rigid(hamiltonian_orientation(g, path)), \
                         encode_graph6(g)
 
+    def test_fills_no_cache(self):
+        g = cycle_graph(5)
+        before = dict(vars(g))
+        o = hamiltonian_orientation(g, (0, 1, 2, 3, 4))
+        assert vars(g) == before and set(vars(o)) == {"base", "forward"}
+
     def test_arc_against_the_path_is_caught(self, monkeypatch):
         # positions read backwards point every arc earlier on the path,
         # so the reverse-order pass sees no out-neighbour's set yet

@@ -25,6 +25,7 @@ from disorient import (
     is_connected,
     is_tree,
     longest_cycle,
+    longest_path,
     parse,
     path_graph,
     star_graph,
@@ -338,6 +339,23 @@ class TestStructure:
             for g in connected_graphs(n):
                 assert hamiltonian_path(g) == \
                     oracles.brute_least_hamiltonian_path(g), encode_graph6(g)
+
+    def test_least_longest_path_vs_brute_force(self):
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                assert longest_path(g) == \
+                    oracles.brute_least_longest_path(g), encode_graph6(g)
+        # the walk takes no connectivity for granted
+        g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
+        assert longest_path(g) == oracles.brute_least_longest_path(g) == \
+            (2, 3, 4)
+
+    def test_walks_fill_no_cache(self):
+        for g in (cycle_graph(5), star_graph(3)):
+            before = dict(vars(g))
+            hamiltonian_path(g)
+            longest_path(g)
+            assert vars(g) == before
 
     def test_longest_cycle_vs_oracle(self):
         for n in range(3, 7):

@@ -18,6 +18,7 @@ from disorient import (
     Corpus,
     FormatError,
     Graph,
+    Orientation,
     complete_bipartite_graph,
     complete_graph,
     connected_graphs,
@@ -361,8 +362,21 @@ def _rows(cache):
 NET = Graph.from_edges(6, [(0, 1), (0, 4), (1, 4), (0, 2), (1, 3), (4, 5)])
 # a triangle with one pendant edge, whose path colouring distinguishes it
 PAW = Graph.from_edges(4, [(0, 1), (0, 3), (1, 3), (0, 2)])
-# three legs of lengths 1, 1 and 2 at one centre: not traceable, a claw
+# three legs of lengths 1, 1 and 2 at one centre: not traceable, a claw;
+# its longest path's colouring distinguishes it and orients it rigidly
 SPIDER = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+# legs of lengths 1, 2 and 2: the longest path's reversal keeps both its
+# colouring and that with the one chord, so D' is searched, and the
+# search's witness orients it rigidly
+LONG_LEGS = Graph.from_edges(6, [(0, 1), (0, 2), (0, 5), (1, 3), (2, 4)])
+# an edge 01 with common neighbours 4 and 5 and a pendant edge at each
+# end: the longest path (2, 0, 4, 1, 3) sets it apart with one chord
+TWO_TAILS = Graph.from_edges(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3),
+                                 (1, 4), (1, 5)])
+# K_{2,4} with a pendant edge: its longest path's colouring distinguishes
+# it, but that colouring's orientation keeps a symmetry
+K24_TAIL = Graph.from_edges(7, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3),
+                                (1, 6), (2, 6), (4, 6), (5, 6)])
 
 
 class TestScanCertificates:
@@ -392,24 +406,31 @@ class TestScanCertificates:
     @pytest.mark.parametrize("g, searched, swept", [
         (PAW, False, False),
         (path_graph(5), True, False),  # the reversal keeps it; no chord
-        (SPIDER, True, True),
+        (SPIDER, False, False),
         (NET, True, False),
         (complete_graph(6), False, False),  # a chord sets it apart
+        (LONG_LEGS, True, False),
+        (TWO_TAILS, False, False),
+        (K24_TAIL, False, True),
     ])
     def test_which_values_are_searched(self, monkeypatch, g, searched, swept):
-        # the searches made inside the scan's rigidity test
+        # the searches made inside the scan's rigidity test of the graph,
+        # and the orientations it tests
         rigidity_searches = []
+        oriented = []
         inside = []
         rigid, search = verify.is_rigid, groups.nontrivial_map
 
         def rigid_spy(x):
+            if isinstance(x, Orientation):
+                oriented.append(x)
             inside.append(x)
             result = rigid(x)
             inside.pop()
             return result
 
         def search_spy(codes):
-            if inside:
+            if inside and isinstance(inside[-1], Graph):
                 rigidity_searches.append(codes)
             return search(codes)
         monkeypatch.setattr(verify, "is_rigid", rigid_spy)
@@ -421,8 +442,34 @@ class TestScanCertificates:
         assert scan_conjectures(_corpus(g)).passed == 1
         assert (len(index), len(sweeps)) == (int(searched), int(swept))
         assert len(clawfree) == int(g is NET)
-        # PAW, SPIDER and K6 have twins, so only the others are searched
-        assert len(rigidity_searches) == int(g in (NET, path_graph(5)))
+        # the others have twins, so only these are searched
+        assert len(rigidity_searches) == int(
+            g in (NET, path_graph(5), LONG_LEGS))
+        # the index witness is oriented for the graphs with no Hamiltonian
+        # path that the claw-free construction leaves
+        assert len(oriented) == int(
+            g in (SPIDER, LONG_LEGS, TWO_TAILS, K24_TAIL))
+
+    def test_cold_scan_search_counts(self, monkeypatch):
+        # what the certificates leave to the searches, n <= 7: a regression
+        # that sends graphs back to them shows here
+        index = _spy(monkeypatch, "dprime")
+        sweeps = _spy(monkeypatch, "find_rigid_orientation")
+        corpus = Corpus.from_graphs(
+            g for n in range(1, 8) for g in connected_graphs(n))
+        assert scan_conjectures(corpus).ok
+        assert (len(index), len(sweeps)) == (57, 2)
+        assert [encode_graph6(g) for g in sweeps] == ["FqacO", "FqaBW"]
+
+    def test_scans_leave_no_adjacency_on_the_corpus(self, tmp_path):
+        graphs = [Graph(g.n, g.edges)
+                  for n in range(1, 7) for g in connected_graphs(n)]
+        corpus = Corpus.from_graphs(graphs)
+        cache = tmp_path / "scan.jsonl"
+        for _ in range(2):  # cold, then warm
+            assert scan_conjectures(corpus, cache_path=cache).ok
+            assert not any(vars(g).keys() & {"adj", "edge_index"}
+                           for g in graphs)
 
     def test_reversal_test_equals_the_path_colouring(self):
         for n in range(2, 8):
@@ -441,25 +488,36 @@ class TestScanCertificates:
                                       "clawfree_rigid_orientation_trace"])
     def test_failed_construction_falls_back_to_the_sweep(self, monkeypatch,
                                                          tmp_path, name):
-        # n <= 6 includes the net, which only the claw-free step settles
+        # n <= 6 includes the net, which the claw-free step settles first
         corpus = Corpus.from_graphs(
             g for n in range(1, 7) for g in connected_graphs(n))
+        # the steps after the constructions: the index witness's
+        # orientation, then the sweep
+        later = _spy(monkeypatch, "find_rigid_orientation")
+        rigid = verify.is_rigid
+
+        def rigid_spy(x):
+            if isinstance(x, Orientation):
+                later.append(x)
+            return rigid(x)
+        monkeypatch.setattr(verify, "is_rigid", rigid_spy)
         want = _stable(scan_conjectures(corpus, cache_path=tmp_path / "a"))
+        reached = len(later)
+        later.clear()
 
         def broken(g, *args):
             raise ConstructionError("orientation kept a symmetry")
         monkeypatch.setattr(verify, name, broken)
-        sweeps = _spy(monkeypatch, "find_rigid_orientation")
         got = scan_conjectures(corpus, cache_path=tmp_path / "b")
         assert got.ok and _stable(got) == want
-        assert sweeps
+        assert len(later) > reached
         assert _rows(tmp_path / "a") == _rows(tmp_path / "b")
 
     def test_warm_rescan_computes_no_path(self, monkeypatch, tmp_path):
         cache = tmp_path / "scan.jsonl"
         corpus = _corpus(NET, PAW, SPIDER, path_graph(5), star_graph(4))
         first = scan_conjectures(corpus, cache_path=cache)
-        paths = _spy(monkeypatch, "hamiltonian_path")
+        paths = _spy(monkeypatch, "longest_path")
         assert _stable(scan_conjectures(corpus, cache_path=cache)) == \
             _stable(first)
         assert paths == []
