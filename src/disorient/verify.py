@@ -11,27 +11,28 @@ it when they compute a value: nothing is parsed twice, and the caches a
 check fills leave with the twin instead of staying on the corpus.
 
 A conjecture scan tries the paper's certificates before any search.
-Each ends in an exact test, so a value it gives is exact and a
+Each is a theorem or an exact test, so a value it gives is exact and a
 certificate that fails costs only time.  D' is 1 when the graph is
 rigid; two twin vertices, with equal open or closed neighbourhoods,
 show at once that it is not, since swapping them is a symmetry.
 Otherwise one walk over the graph's paths, made only for a value the
 cache lacks, gives the least longest path, which is Hamiltonian when
 the graph is traceable, and serves twice.  Colouring its edges 1 and
-the others 2 leaves only symmetries that map the path onto itself.  For
-a Hamiltonian path those are the identity and the path's reversal, and
-the reversal keeps the colouring exactly when it is an automorphism;
-for a shorter path the exact stabiliser test decides.  When the
-colouring is not distinguishing, the path and one chord coloured 1 are
-tried in edge order, each by the exact stabiliser test.  A hit gives
-D' = 2.  At D' = 2 the orientation along a Hamiltonian path is rigid
-(Theorem 8); for claw-free graphs on six or more vertices the claw-free
-construction (Theorem 12) comes next.  A construction whose output
-keeps a symmetry raises ConstructionError.  Then the distinguishing
-2-colouring found, by a certificate or by dprime, is oriented: each
-colour-1 edge in its canonical direction, each colour-2 edge reversed,
-and is_rigid tests the result.  What no certificate settles is
-searched as before: dprime, then find_rigid_orientation, then od_minus.
+the others 2 leaves only the symmetries that are the identity or the
+reversal on the path, tried on neighbour bitmasks with the other
+vertices matched by their neighbours.  Failing that, the path and one
+chord coloured 1 are tried in edge order: on a Hamiltonian path by the
+few symmetries of the cycle with at most two tails they make, on a
+shorter one by the exact stabiliser test.  A hit gives D' = 2.  At
+D' = 2 a Hamiltonian path gives a rigid orientation with none built
+(Theorem 8): along it, position i reaches exactly the n - i vertices
+from i on.  For claw-free graphs on six or more vertices the claw-free
+construction (Theorem 12) comes next; it raises ConstructionError when
+its output keeps a symmetry.  Then the distinguishing 2-colouring
+found, by a certificate or by dprime, is oriented: each colour-1 edge
+in its canonical direction, each colour-2 edge reversed, and is_rigid
+tests the result.  What no certificate settles is searched as before:
+dprime, then find_rigid_orientation, then od_minus.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
 from .distinguishing import Colouring, dprime, is_distinguishing
 from .graphs import (FormatError, Graph, Orientation, bipartition,
                      encode_digraph6, encode_graph6, hamiltonian_path,
-                     is_claw_free, is_connected, longest_path, parse)
-from .groups import (NOT_FIXED, Permutation, automorphism_generators,
+                     is_claw_free, is_connected, longest_path,
+                     neighbour_masks, parse)
+from .groups import (NOT_FIXED, automorphism_generators,
                      automorphism_group, edge_action, fixed_set_status,
                      is_automorphism, is_rigid, is_twisted)
 from .orientations import (DEFAULT_EDGE_CAP, enumerate_orientations,
@@ -560,59 +562,115 @@ def _append_cache(path, rows) -> None:
         _CACHE_MEMO[p] = _stamp(p), known
 
 
-def _path_distinguishes(g: Graph, path) -> bool:
-    """Whether colouring path's edges 1 and the rest 2 distinguishes g.
+def _image(mask: int, q) -> int:
+    """The vertex set mask, as a bitmask, under the vertex map q."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << q[low.bit_length() - 1]
+        mask ^= low
+    return out
 
-    A symmetry keeping that colouring maps the path onto itself, so it is
-    the identity or the path's reversal.  The reversal keeps the path's
-    edges, so it keeps the colouring exactly when it is an automorphism
-    of g.  On two or more vertices it is not the identity.
+
+def _symmetric(bits, path, moves) -> bool:
+    """Whether a symmetry but the identity fixes path or moves it by a move.
+
+    bits are the graph's neighbour masks, and a move, not the identity,
+    sends position i of path to position move[i]; it must keep the edges
+    among the path's vertices.  The other vertices are then matched one
+    at a time, each to a free one whose neighbours among the vertices
+    mapped so far are the images of its own, so a complete match is an
+    automorphism.
     """
-    rev = [0] * len(path)
-    for v, w in zip(path, reversed(path)):
-        rev[v] = w
-    return not is_automorphism(g, Permutation(tuple(rev)))
+    on = sum(1 << v for v in path)
+    off = [v for v in range(len(bits)) if not on >> v & 1]
+    q = list(range(len(bits)))
+
+    def match(i: int, done: int, used: int, moved: bool) -> bool:
+        if i == len(off):
+            return moved
+        u = off[i]
+        want = _image(bits[u] & done, q)
+        for w in off:
+            if not used >> w & 1 and bits[w] & used == want:
+                q[u] = w
+                if match(i + 1, done | 1 << u, used | 1 << w, moved or w != u):
+                    return True
+        return False
+
+    if off and match(0, on, on, False):
+        return True
+    for move in moves:
+        for v, j in zip(path, move):
+            q[v] = path[j]
+        if all(_image(bits[v] & on, q) == bits[q[v]] & on for v in path) \
+                and match(0, on, on, True):
+            return True
+    return False
+
+
+def _chord_moves(n: int, a: int, b: int):
+    """The symmetries but the identity of the path 0..n-1 plus chord ab.
+
+    a < b.  Path and chord make a cycle with at most two tails.  With
+    none, the cycle's other rotations and its reflections remain.  A
+    single tail is fixed, so only the cycle's reflection through the
+    tail's end remains.  Two tails can only swap, by the reversal, when
+    they are equally long.
+    """
+    if a == 0 and b == n - 1:
+        return ([(s * i + r) % n for i in range(n)]
+                for s in (1, -1) for r in range(n) if s < 0 or r)
+    if a == 0:
+        return [[b - 1 - i if i < b else i for i in range(n)]]
+    if b == n - 1:
+        return [[a + n - i if i > a else i for i in range(n)]]
+    return [range(n - 1, -1, -1)] if a + b == n - 1 else []
 
 
 def _two_colouring(g: Graph, path) -> Colouring | None:
     """A distinguishing 2-colouring built on path, or None.
 
     path's edges are coloured 1 and the others 2; then, in edge order,
-    that colouring with one more edge coloured 1.  A Hamiltonian path's
-    colouring is decided by its reversal, any other by the exact
-    stabiliser test, so a colouring returned distinguishes g.
+    that colouring with one more edge coloured 1.  A symmetry keeping
+    one maps its colour-1 edges onto themselves, so only a few maps are
+    tested, exactly: the identity and the reversal on path, or the
+    symmetries of a path through every vertex and its chord.  A shorter
+    path's chords go to the exact stabiliser test.
     """
-    on_path = {g.index_of(u, v) for u, v in zip(path, path[1:])}
-    base = tuple(1 if i in on_path else 2 for i in range(g.m))
-    colouring = Colouring(2, base)
-    if (_path_distinguishes(g, path) if len(path) == g.n
-            else is_distinguishing(g, colouring)):
-        return colouring
-    for i in range(g.m):
-        if i in on_path:
+    bits = neighbour_masks(g)
+    steps = {(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])}
+    base = tuple(1 if e in steps else 2 for e in g.edges)
+    k = len(path)
+    if not _symmetric(bits, path, [range(k - 1, -1, -1)]):
+        return Colouring(2, base)
+    pos = {v: i for i, v in enumerate(path)}
+    for i, (u, v) in enumerate(g.edges):
+        if base[i] == 1:
             continue
         colouring = Colouring(2, base[:i] + (1,) + base[i + 1:])
-        if is_distinguishing(g, colouring):
+        if (is_distinguishing(g, colouring) if k < g.n else not _symmetric(
+                bits, path, _chord_moves(k, *sorted((pos[u], pos[v]))))):
             return colouring
     return None
 
 
 def _certified_rigid(g: Graph, path, witness: Colouring | None) -> bool:
-    """Whether a construction or the index witness orients g rigidly.
+    """Whether g orients rigidly, by Theorem 8, a construction or witness.
 
     path is a longest path of g, and witness a distinguishing
-    2-colouring, or None.  Each construction checks its own output for
-    symmetry and raises ConstructionError when it finds one; the
-    witness's orientation, each colour-1 edge in its canonical
+    2-colouring, or None.  A path through every vertex settles it with
+    no orientation built.  The claw-free construction checks its own
+    output for symmetry and raises ConstructionError when it finds one;
+    the witness's orientation, each colour-1 edge in its canonical
     direction and each colour-2 edge reversed, is tested with is_rigid.
     So True is exact.
     """
     if len(path) == g.n:
-        try:
-            hamiltonian_orientation(g, path)
-            return True
-        except ConstructionError:
-            pass
+        # Theorem 8: along the path, the vertex at position i reaches
+        # exactly the n - i vertices from i on, so reach counts differ
+        # and every automorphism is the identity
+        return True
     if g.n >= 6 and is_claw_free(g):
         try:
             clawfree_rigid_orientation_trace(g)
@@ -690,16 +748,18 @@ def scan_conjectures(corpus: Corpus, which="both", *,
 
     which selects 1, 2, or "both".  A violation is a finding: the report
     carries it, nothing raises.  When cache_path is set, known values
-    are reused and new ones appended as JSON lines.
+    are reused and new ones appended as JSON lines, keyed by graph6;
+    with no cache no key is computed, so graphs of any order scan.
 
     Values the cache lacks come from certificates first: for D', a
     rigidity test, then the colouring that sets the least longest path
-    apart, then that path with one chord; at D' = 2, the orientation
-    along a Hamiltonian path, then the claw-free construction, then the
-    orientation of the distinguishing 2-colouring found (see the module
-    docstring).  Each ends in an exact symmetry test, so the report and
-    the rows are those the searches alone give; the searches run only
-    for what no certificate settles.
+    apart, then that path with one chord, each decided by the few maps
+    that could keep it; at D' = 2, Theorem 8 for a traceable graph,
+    then the claw-free construction, then the orientation of the
+    distinguishing 2-colouring found (see the module docstring).  Each
+    is a theorem or an exact symmetry test, so the report and the rows
+    are those the searches alone give; the searches run only for what
+    no certificate settles.
     """
     which = str(which)
     if which not in ("1", "2", "both"):
@@ -707,7 +767,8 @@ def scan_conjectures(corpus: Corpus, which="both", *,
     started = time.perf_counter()
     cache = _load_cache(cache_path) if cache_path else {}
 
-    canons = [encode_graph6(g) for g in corpus.entries]
+    canons = ([encode_graph6(g) for g in corpus.entries] if cache_path
+              else [None] * len(corpus))
     tasks = [(g, which, edge_cap, *cache.get(canon, _NO_ROW)[:2])
              for g, canon in zip(corpus.entries, canons)]
     outs = _run_tasks(_scan_worker, tasks, jobs)

@@ -50,6 +50,19 @@ def brute_colour_preserving_images(x, colours) -> list[tuple[int, ...]]:
     return out
 
 
+def colour_keeping_map(g: Graph, colours) -> tuple[int, ...] | None:
+    """First vertex permutation but the identity, in lexicographic order,
+    that sends every edge to an edge of the same colour, or None."""
+    colour_of = {frozenset(e): c for e, c in zip(g.edges, colours)}
+    identity = tuple(range(g.n))
+    for img in permutations(range(g.n)):
+        if img != identity and all(
+                colour_of.get(frozenset((img[u], img[v]))) == c
+                for (u, v), c in zip(g.edges, colours)):
+            return img
+    return None
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     """Whether some vertex permutation carries g's edge set onto h's."""
     if (g.n, g.m) != (h.n, h.m):

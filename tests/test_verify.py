@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from disorient import groups, verify
 from disorient import (
     CLAIMS,
@@ -26,13 +27,16 @@ from disorient import (
     dprime,
     encode_graph6,
     find_rigid_orientation,
+    hamiltonian_orientation,
     is_distinguishing,
+    longest_path,
     od_minus,
     path_graph,
     scan_conjectures,
     star_graph,
     verify_theorem,
 )
+from disorient.graphs import neighbour_masks
 
 
 def _corpus(*graphs) -> Corpus:
@@ -228,6 +232,17 @@ class TestScanConjectures:
         r = scan_conjectures(_corpus(cycle_graph(4)), edge_cap=2)
         assert "over cap" in r.skipped[0].reason
 
+    def test_cacheless_scan_computes_no_keys(self, tmp_path, monkeypatch):
+        small = Corpus.from_graphs(
+            g for n in range(1, 7) for g in connected_graphs(n))
+        want = _stable(scan_conjectures(small, cache_path=tmp_path / "c"))
+        keys = _spy(monkeypatch, "encode_graph6")
+        assert _stable(scan_conjectures(small)) == want
+        # a corpus built directly may hold graphs graph6 cannot encode
+        r = scan_conjectures(Corpus((path_graph(63),), ("P63",)))
+        assert r.total == 1 and "over cap" in r.skipped[0].reason
+        assert keys == []
+
     def test_cache_roundtrip(self, tmp_path):
         cache = tmp_path / "scan.jsonl"
         corpus = _corpus(complete_graph(3), path_graph(4))
@@ -357,6 +372,30 @@ def _rows(cache):
     return rows
 
 
+def _path_decisions(top: int):
+    """(g, path, colours, kept) for every colouring _two_colouring decides
+    by its closed forms on connected graphs with 2 <= n <= top: the
+    longest path's, and with each chord of a path through every vertex.
+    kept says whether an automorphism but the identity keeps colours."""
+    for n in range(2, top + 1):
+        for g in connected_graphs(n):
+            bits = neighbour_masks(g)
+            path = longest_path(g)
+            k = len(path)
+            steps = {frozenset(e) for e in zip(path, path[1:])}
+            base = tuple(1 if frozenset(e) in steps else 2 for e in g.edges)
+            yield g, path, base, verify._symmetric(
+                bits, path, [range(k - 1, -1, -1)])
+            if k < n:
+                continue
+            for i, (u, v) in enumerate(g.edges):
+                if base[i] == 2:
+                    a, b = sorted((path.index(u), path.index(v)))
+                    yield (g, path, base[:i] + (1,) + base[i + 1:],
+                           verify._symmetric(bits, path,
+                                             verify._chord_moves(n, a, b)))
+
+
 # a triangle with a pendant edge at each corner: claw-free, and its three
 # leaves rule out a Hamiltonian path
 NET = Graph.from_edges(6, [(0, 1), (0, 4), (1, 4), (0, 2), (1, 3), (4, 5)])
@@ -471,21 +510,23 @@ class TestScanCertificates:
             assert not any(vars(g).keys() & {"adj", "edge_index"}
                            for g in graphs)
 
-    def test_reversal_test_equals_the_path_colouring(self):
-        for n in range(2, 8):
-            for g in connected_graphs(n):
-                path = verify.hamiltonian_path(g)
-                if path is None:
-                    continue
-                on_path = {frozenset(e) for e in zip(path, path[1:])}
-                colours = tuple(1 if frozenset(e) in on_path else 2
-                                for e in g.edges)
-                want = is_distinguishing(g, Colouring(2, colours))
-                assert verify._path_distinguishes(g, path) == want, \
-                    encode_graph6(g)
+    def test_closed_forms_equal_the_stabiliser_test(self):
+        # every decision _two_colouring can make on a connected graph with
+        # n <= 7: the longest path's colouring, and each chord's on a path
+        # through every vertex
+        chords = 0
+        for g, path, colours, kept in _path_decisions(7):
+            assert kept == (not is_distinguishing(g, Colouring(2, colours))), \
+                (encode_graph6(g), colours)
+            chords += colours.count(1) == len(path)
+        assert chords == 4567
 
-    @pytest.mark.parametrize("name", ["hamiltonian_orientation",
-                                      "clawfree_rigid_orientation_trace"])
+    def test_closed_forms_equal_brute_force(self):
+        for g, _, colours, kept in _path_decisions(6):
+            assert kept == (oracles.colour_keeping_map(g, colours) is not None), \
+                (encode_graph6(g), colours)
+
+    @pytest.mark.parametrize("name", ["clawfree_rigid_orientation_trace"])
     def test_failed_construction_falls_back_to_the_sweep(self, monkeypatch,
                                                          tmp_path, name):
         # n <= 6 includes the net, which the claw-free step settles first
@@ -512,6 +553,31 @@ class TestScanCertificates:
         assert got.ok and _stable(got) == want
         assert len(later) > reached
         assert _rows(tmp_path / "a") == _rows(tmp_path / "b")
+
+    def test_traceable_graphs_orient_by_theorem_8(self, monkeypatch):
+        # a traceable graph at D' = 2 is settled with no orientation built
+        graphs = [g for n in range(2, 7) for g in connected_graphs(n)
+                  if len(longest_path(g)) == n]
+        built = _spy(monkeypatch, "hamiltonian_orientation")
+        rigid = verify.is_rigid
+
+        def rigid_spy(x):
+            if isinstance(x, Orientation):
+                built.append(x)
+            return rigid(x)
+        monkeypatch.setattr(verify, "is_rigid", rigid_spy)
+        assert scan_conjectures(Corpus.from_graphs(graphs)).ok
+        assert built == []
+
+    def test_path_orientation_is_rigid(self):
+        # what the scan relies on for those graphs, by brute force
+        for n in range(2, 7):
+            for g in connected_graphs(n):
+                path = longest_path(g)
+                if len(path) == n:
+                    o = hamiltonian_orientation(g, path)
+                    assert oracles.brute_automorphism_images(o) == \
+                        [tuple(range(n))], encode_graph6(g)
 
     def test_warm_rescan_computes_no_path(self, monkeypatch, tmp_path):
         cache = tmp_path / "scan.jsonl"
