@@ -31,9 +31,8 @@ from .graphs import (CenterInfo, FormatError, Graph, HungTree, Orientation,
                      encode_graph6, hamiltonian_path, hang, hang_centre,
                      is_claw_free, is_connected, is_tree, longest_cycle,
                      longest_path, parse, tree_center)
-from .groups import (DEFAULT_GROUP_CAP, NOT_FIXED, POINTWISE, SETWISE_ONLY,
-                     AutGroup, GroupSizeError, Permutation, arc_permutation,
-                     arcs_of, automorphism_generators, automorphism_group,
+from .groups import (NOT_FIXED, POINTWISE, SETWISE_ONLY, Permutation,
+                     arc_permutation, arcs_of, automorphism_generators,
                      automorphisms, fixed_set_status, is_automorphism,
                      is_rigid, is_twisted, nontrivial_automorphism,
                      tree_automorphism_generators)

@@ -26,14 +26,14 @@ from .constructions import (ConstructionError, OrderedPartition,
                             tree_od_values)
 from .distinguishing import dprime
 from .graphs import FormatError, Graph, Orientation, encode_digraph6, parse
-from .groups import (DEFAULT_GROUP_CAP, GroupSizeError, Permutation,
-                     automorphism_group)
+from .groups import Permutation, automorphism_generators, automorphisms
 from .orientations import (DEFAULT_EDGE_CAP, EdgeCapError,
                            find_rigid_orientation, od_extremes, od_minus,
                            od_plus)
 from .verify import Corpus, scan_conjectures, verify_theorem, THEOREM_IDS
 
 CACHE_ENV = "DISORIENT_CACHE"
+MAX_LISTED = 10 ** 6  # aut refuses to list a larger group
 
 
 def _read_graph_arg(value: str, fmt: str | None) -> Graph | Orientation:
@@ -66,10 +66,12 @@ def _edge_order(x) -> tuple:
 
 def _cmd_aut(args) -> tuple[dict, int]:
     x = _read_graph_arg(args.graph, args.format)
-    grp = automorphism_group(x, cap=args.group_cap)
+    order = automorphism_generators(x)[1]
+    if order > MAX_LISTED:
+        raise ValueError(f"group too large: more than {MAX_LISTED} elements")
     n = x.base.n if isinstance(x, Orientation) else x.n
-    return {"n": n, "order": grp.order,
-            "elements": [list(p.image) for p in grp]}, 0
+    return {"n": n, "order": order,
+            "elements": [list(p.image) for p in automorphisms(x)]}, 0
 
 
 def _cmd_dprime(args) -> tuple[dict, int]:
@@ -206,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", parents=[common, graphish],
                        help="automorphism group elements")
-    p.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
     p.set_defaults(run=_cmd_aut)
 
     p = sub.add_parser("dprime", parents=[common, graphish],
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
     try:
         payload, code = args.run(args)
     except (FormatError, ValueError, ConstructionError, EdgeCapError,
-            GroupSizeError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

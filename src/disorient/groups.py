@@ -1,37 +1,26 @@
 """Exact automorphism groups by exhaustive backtracking, and derived tests.
 
-A group comes either as a strong generating set with its order, found
-by one first-hit backtrack per orbit point whatever the group's size,
-or as a full element list in lexicographic order of the image array.
-Element enumeration is capped (default one million elements) and a
-GroupSizeError is raised when the cap is hit, so callers never truncate
-a group silently.  A tree's generators and order need no search: they
-come from the AHU codes of the tree hung from its centre.
+A group has one representation: a strong generating set with its
+order, found by one first-hit backtrack per orbit point whatever the
+group's size.  Its elements, when a caller needs them, come one at a
+time from the lazy automorphisms iterator in lexicographic order of the
+image array; a caller that must bound the listing reads the order
+first.  A tree's generators and order need no search: they come from
+the AHU codes of the tree hung from its centre.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator
 
 from .graphs import Graph, HungTree, Orientation, neighbour_masks
 from .search import codes_for, find_maps, nontrivial_map, strong_generators
 
-DEFAULT_GROUP_CAP = 10 ** 6
-
 POINTWISE = "pointwise"
 SETWISE_ONLY = "setwise_only"
 NOT_FIXED = "not_fixed"
-
-
-class GroupSizeError(RuntimeError):
-    """Automorphism group enumeration exceeded the configured cap."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"group too large: more than {cap} elements")
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -102,47 +91,10 @@ class Permutation:
         return val
 
 
-@dataclass(frozen=True)
-class AutGroup:
-    """Full element list of an automorphism group, identity included."""
-
-    elements: tuple[Permutation, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p.image in self.image_set
-
-    @cached_property
-    def image_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(p.image for p in self.elements)
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.elements) == 1
-
-
-def automorphisms(x: Graph | Orientation, *, cap: int | None = None) -> Iterator[Permutation]:
+def automorphisms(x: Graph | Orientation) -> Iterator[Permutation]:
     """Automorphisms in lexicographic image order, the identity first."""
-    codes = codes_for(x)
-    count = 0
-    for img in find_maps(codes):
-        count += 1
-        if cap is not None and count > cap:
-            raise GroupSizeError(cap)
+    for img in find_maps(codes_for(x)):
         yield Permutation(img)
-
-
-def automorphism_group(x: Graph | Orientation, *, cap: int = DEFAULT_GROUP_CAP) -> AutGroup:
-    return AutGroup(tuple(automorphisms(x, cap=cap)))
 
 
 def automorphism_generators(x: Graph | Orientation) -> tuple[tuple[Permutation, ...], int]:

@@ -38,6 +38,7 @@ dprime, then find_rigid_orientation, then od_minus.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -55,9 +56,9 @@ from .graphs import (FormatError, Graph, Orientation, bipartition,
                      encode_digraph6, encode_graph6, hamiltonian_path,
                      is_claw_free, is_connected, longest_path,
                      neighbour_masks, parse)
-from .groups import (NOT_FIXED, automorphism_generators,
-                     automorphism_group, edge_action, fixed_set_status,
-                     is_automorphism, is_rigid, is_twisted)
+from .groups import (NOT_FIXED, automorphism_generators, automorphisms,
+                     edge_action, fixed_set_status, is_automorphism, is_rigid,
+                     is_twisted)
 from .orientations import (DEFAULT_EDGE_CAP, enumerate_orientations,
                            find_rigid_orientation, od_extremes, od_minus)
 
@@ -307,24 +308,29 @@ def _check_thm9(g: Graph, cap: int):
         return _skip(f"distinguishing index {d}, not 2")
     if g.m > cap:
         return _skip(f"edge count {g.m} over cap {cap}")
-    grp = automorphism_group(g)
-    split = {True: [], False: []}
-    for p in grp:
+    # D' = 2: some 2-colouring of the edges is kept by the identity
+    # alone, so Aut(g) acts freely on its orbit and has at most
+    # 2^m <= 2^cap elements; listing them needs no cap of its own.
+    twisted, kept = [], []
+    for p in automorphisms(g):
         if not p.is_identity:
-            split[is_twisted(g, p)].append(p)
+            (twisted if is_twisted(g, p) else kept).append(p)
 
-    # (a) no orientation keeps a twisted map, shown by flip parity.
-    for p in split[True]:
+    # (a) no orientation keeps a twisted map: by flip parity, and again on
+    # each orientation representative, which suffices since Aut(o) lies in
+    # Aut(g) and a conjugate of a twisted map is twisted.
+    for p in twisted:
         if _parity_fixed_vector_exists(g, p):
             return _viol("no orientation admits the twisted map",
                          f"{tuple(p.image)} fixes some direction vector")
-    for o in enumerate_orientations(g, edge_cap=cap):
-        for p in automorphism_group(o):
-            if not p.is_identity and is_twisted(g, p):
-                return _viol("no orientation admits a twisted map",
-                             f"{encode_digraph6(o)} admits {tuple(p.image)}")
+    if twisted:
+        for o in enumerate_orientations(g, edge_cap=cap):
+            for p in twisted:
+                if is_automorphism(o, p):
+                    return _viol("no orientation admits a twisted map",
+                                 f"{encode_digraph6(o)} admits {tuple(p.image)}")
 
-    if not split[False]:
+    if not kept:
         res = od_extremes(g, edge_cap=cap)
         if (res.od_minus, res.od_plus) != (1, 1):
             return _viol("both extremes 1 without a usable symmetry",
@@ -335,7 +341,7 @@ def _check_thm9(g: Graph, cap: int):
     res = od_extremes(g, edge_cap=cap)
     if res.od_plus != 2:
         return _viol("maximum over orientations 2", f"{res.od_plus}")
-    p = min(split[False], key=lambda q: q.image)
+    p = kept[0]  # the least: elements come in image order
     try:
         o = compatible_orientation(g, p)
     except (ValueError, ConstructionError) as exc:
@@ -470,8 +476,10 @@ def _run_tasks(worker, tasks, jobs: int):
         return [worker(t) for t in tasks]
     # imported here: multiprocessing costs every importing process memory
     from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(tasks) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once: no more than tasks or CPUs
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    chunk = max(1, len(tasks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 

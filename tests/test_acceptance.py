@@ -15,7 +15,7 @@ from disorient import (
     PairColouring,
     Permutation,
     RootedTree,
-    automorphism_group,
+    automorphisms,
     clawfree_graphs,
     complete_bipartite_graph,
     connected_bipartite_graphs,
@@ -153,7 +153,7 @@ def test_criterion_7_pair_colouring_bijection():
     scanned = 0
     for n in range(3, 7):
         for g in connected_bipartite_graphs(n):
-            grp = automorphism_group(g)
+            grp = list(automorphisms(g))
             part = natural_bipartition(g)
             if fixed_set_status(grp, part.classes[0]) == NOT_FIXED:
                 continue

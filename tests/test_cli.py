@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import oracles
 from disorient import (
     CENTRAL_EDGE_SWAPPED,
     Orientation,
@@ -11,9 +12,11 @@ from disorient import (
     Violation,
     complete_bipartite_graph,
     complete_graph,
+    connected_graphs,
     cycle_graph,
     encode_digraph6,
     encode_graph6,
+    enumerate_orientations,
     parse,
     path_graph,
     star_graph,
@@ -113,9 +116,30 @@ class TestAut:
         assert j["elements"][0] == [0, 1, 2]
         assert len(j["elements"]) == 6
 
-    def test_group_cap(self, capsys):
-        assert main(["aut", STAR3_G6, "--group-cap", "2"]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_refuses_a_group_too_large_to_list(self, capsys, monkeypatch):
+        import disorient.cli as cli
+
+        def no_listing(x):
+            raise AssertionError("elements listed")
+
+        monkeypatch.setattr(cli, "automorphisms", no_listing)
+        assert main(["aut", encode_graph6(star_graph(10))]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: group too large: more than 1000000 elements\n"
+
+    def test_elements_equal_the_oracle(self, capsys):
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                for x in [g, *enumerate_orientations(g)]:
+                    text = encode_digraph6(x) if isinstance(x, Orientation) \
+                        else encode_graph6(x)
+                    code, j = run_json(capsys, ["aut", text])
+                    want = sorted(list(img) for img in
+                                  oracles.brute_automorphism_images(x))
+                    assert code == 0
+                    assert (j["n"], j["order"]) == (n, len(j["elements"])), text
+                    assert j["elements"] == want, text
 
 
 class TestOd:

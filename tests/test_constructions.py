@@ -20,7 +20,7 @@ from disorient import (
     Permutation,
     RootedTree,
     automorphism_generators,
-    automorphism_group,
+    automorphisms,
     clawfree_rigid_orientation,
     clawfree_rigid_orientation_trace,
     compatible_orientation,
@@ -50,6 +50,10 @@ from disorient import (
     trees,
 )
 from disorient import constructions
+
+
+def _images(x):
+    return {p.image for p in automorphisms(x)}
 
 
 def _class_swap_exists(g):
@@ -125,14 +129,13 @@ class TestLayered:
     def test_k12(self):
         o = layered_orientation(star_graph(2), OrderedPartition.of({0}, {1, 2}))
         assert o.arcs == ((0, 1), (0, 2))
-        assert automorphism_group(o).image_set == \
-            automorphism_group(star_graph(2)).image_set
+        assert _images(o) == _images(star_graph(2))
 
     def test_k23(self):
         g = complete_bipartite_graph(2, 3)
         o = layered_orientation(g, natural_bipartition(g))
         assert all(t in (0, 1) and h in (2, 3, 4) for t, h in o.arcs)
-        assert automorphism_group(o).order == 12
+        assert len(_images(o)) == 12
 
     def test_triangle_has_no_valid_partition(self):
         with pytest.raises(ValueError):
@@ -146,8 +149,7 @@ class TestLayered:
                 if _class_swap_exists(g):
                     continue
                 o = layered_orientation(g, natural_bipartition(g))
-                assert automorphism_group(o).image_set == \
-                    automorphism_group(g).image_set, encode_graph6(g)
+                assert _images(o) == _images(g), encode_graph6(g)
 
 
 class TestSplitMerge:
@@ -260,7 +262,7 @@ class TestCompatibleOrientation:
     def test_preserved_across_small_graphs(self):
         from disorient import connected_graphs, is_twisted
         for g in connected_graphs(5):
-            for p in automorphism_group(g).elements:
+            for p in automorphisms(g):
                 if p.is_identity or is_twisted(g, p):
                     continue
                 o = compatible_orientation(g, p)
@@ -271,7 +273,7 @@ class TestClawfree:
     def test_c6_uses_hamiltonian_branch(self):
         tr = clawfree_rigid_orientation_trace(cycle_graph(6))
         assert tr.branch == "hamiltonian"
-        assert automorphism_group(tr.result).order == 1
+        assert _images(tr.result) == {tuple(range(6))}
 
     def test_prism(self):
         prism = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),

@@ -97,8 +97,8 @@ class TestVerifyTheorem:
         assert "class-swapping automorphism present" in reasons
         assert "not bipartite" in reasons
 
-    def test_obs1_pass_past_element_cap(self):
-        # star_graph(10) has 10! automorphisms, past the element cap
+    def test_obs1_pass_on_a_group_too_large_to_list(self):
+        # star_graph(10) has 10! automorphisms, too many to list
         r = verify_theorem(
             _corpus(path_graph(2), star_graph(3), cycle_graph(4),
                     complete_graph(4), star_graph(10)), "obs1")
@@ -187,6 +187,52 @@ class TestVerifyTheorem:
                 r = verify_theorem(corpus, tid, jobs=jobs)
                 assert r.total == r.passed + len(r.violations) + len(r.skipped) == 3
         assert [vars(g) for g in corpus] == before
+
+    def test_thm9_tests_twisted_maps_on_each_orientation(self, monkeypatch):
+        # P3 has D' = 2, and its reversal survives in the orientation with
+        # both arcs into the middle; counted as twisted, with the parity
+        # test silenced, only the orientation-level test can catch it
+        corpus = _corpus(path_graph(3))
+        assert verify_theorem(corpus, "thm9").passed == 1
+        monkeypatch.setattr(verify, "_parity_fixed_vector_exists",
+                            lambda g, p: False)
+        monkeypatch.setattr(verify, "is_twisted", lambda g, p: True)
+        r = verify_theorem(corpus, "thm9")
+        assert [v.expected for v in r.violations] == \
+            ["no orientation admits a twisted map"]
+        assert r.violations[0].actual.endswith("admits (2, 1, 0)")
+
+    def test_pool_size_is_bounded(self, monkeypatch):
+        import concurrent.futures
+        made = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                made.append((self.max_workers, chunksize))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        two = _corpus(star_graph(3), cycle_graph(4))
+        serial = _stable(verify_theorem(two, "cor3"))
+        assert _stable(verify_theorem(two, "cor3", jobs=5000)) == serial
+        assert verify._run_tasks(abs, list(range(-40, 0)), 5000) == \
+            list(range(40, 0, -1))
+        assert verify._run_tasks(abs, list(range(-40, 0)), 2) == \
+            list(range(40, 0, -1))
+        assert made == [(2, 1), (4, 2), (2, 5)]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        verify._run_tasks(abs, [1, 2, 3], 8)
+        assert made[-1] == (1, 1)
 
     def test_import_loads_no_process_pool(self):
         # multiprocessing costs every process memory; only jobs > 1 needs it
