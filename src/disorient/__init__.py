@@ -14,23 +14,23 @@ from .complete_bipartite import (BOUNDARY, EXACT, RESOLVED, Prediction,
 from .constructions import (CENTRAL_EDGE_FIXED, CENTRAL_EDGE_SWAPPED,
                             CENTRAL_VERTEX, ClawfreeTrace, ConstructionError,
                             OrderedPartition, PairColouring, TreeCase,
-                            clawfree_rigid_orientation,
+                            centre_case, clawfree_rigid_orientation,
                             clawfree_rigid_orientation_trace,
                             compatible_orientation, hamiltonian_orientation,
                             layered_orientation, merge_colouring,
                             natural_bipartition, split_colouring, tree_case,
                             tree_od_values)
-from .distinguishing import (Colouring, DprimeResult, RootedTree, ShapeTable,
+from .distinguishing import (Colouring, DprimeResult, RootedTree,
                              colour_preserving_automorphism,
                              count_optimal_rooted_colourings, dprime,
                              dprime_at_most, is_distinguishing,
                              oriented_tree_colouring, oriented_tree_index,
                              preserves, rooted_index)
 from .graphs import (CenterInfo, FormatError, Graph, HungTree, Orientation,
-                     StructureReport, analyze, bipartition, encode_digraph6,
-                     encode_graph6, hamiltonian_path, hang, hang_centre,
-                     is_claw_free, is_connected, is_tree, longest_cycle,
-                     longest_path, parse, tree_center)
+                     ShapeTable, StructureReport, analyze, bipartition,
+                     encode_digraph6, encode_graph6, hamiltonian_path, hang,
+                     hang_centre, is_claw_free, is_connected, is_tree,
+                     longest_cycle, longest_path, parse, tree_center)
 from .groups import (NOT_FIXED, POINTWISE, SETWISE_ONLY, Permutation,
                      arc_permutation, arcs_of, automorphism_generators,
                      automorphisms, fixed_set_status, is_automorphism,

@@ -8,9 +8,10 @@ claimed invariant verify that invariant at the end and raise
 ConstructionError with a diagnostic rather than return a bad result.
 
 The tree case analysis counts rather than searches.  It hangs the tree
-once from its centre (graphs.hang_centre): the central-edge swap is an
-equality of the two halves' AHU shape codes (HungTree.halves), and the
-index D is a rooted index counted over the same shape classes.
+once from its centre (Graph.hung): the central-edge swap is an equality
+of the two halves' AHU shape codes (HungTree.halves), and the index D
+is a rooted index counted over the same shape classes.  The case alone
+(centre_case) counts nothing.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .distinguishing import Colouring, ShapeTable
+from .distinguishing import Colouring
 from .graphs import (CenterInfo, Graph, Orientation, bipartition,
-                     hamiltonian_path, hang_centre, is_claw_free,
-                     is_connected, longest_cycle)
+                     hamiltonian_path, is_claw_free, is_connected,
+                     longest_cycle)
 from .groups import (Permutation, arc_permutation, arcs_of, is_automorphism,
                      is_twisted, nontrivial_automorphism)
 
@@ -567,35 +568,48 @@ def _clawfree_cut_vertex(g: Graph, comps, cuts) -> ClawfreeTrace:
     return ClawfreeTrace(o, "cut_vertex", checkpoint_arcs=checkpoint, source=u)
 
 
-def tree_case(t: Graph) -> TreeCase:
-    """Classify a tree by its centre and the central-edge swap, and count D.
+def centre_case(t: Graph) -> str:
+    """How a tree's centre sits under its automorphisms, with D not counted.
 
-    The tree is hung once from its first centre vertex a, and every
-    answer is counted in one ShapeTable.  When no automorphism moves a,
-    D is the rooted index at a.  A centre edge (a, b) is swapped exactly
-    when its two halves have one shape (HungTree.halves), and then it is
-    broken exactly when the halves get inequivalent colourings, so D is
-    the least width with at least two classes for a half: its rooted
-    index r when the optimal class is not unique, else r + 1, since one
-    more colour always adds a class.
+    CENTRAL_VERTEX for a centre vertex.  A centre edge (a, b) is
+    CENTRAL_EDGE_SWAPPED exactly when its two halves have one shape
+    (HungTree.halves), else CENTRAL_EDGE_FIXED.  The codes are t.hung's,
+    which tree_case then counts.
     """
     try:
-        hung = hang_centre(t)
+        hung = t.hung
     except ValueError:
         raise ValueError("tree_case requires a tree") from None
     if t.n < 3:
         raise ValueError("tree_case requires at least three vertices")
-    shapes = ShapeTable()
-    codes = hung.codes(shapes.codes, hung.away)
     if hung.centre.kind == "vertex":
-        return TreeCase(CENTRAL_VERTEX, hung.centre, shapes.index(codes[hung.root]))
+        return CENTRAL_VERTEX
+    shapes, codes = hung.shape
     half_a, half_b = hung.halves(shapes.codes, codes)
-    if half_a != half_b:
-        return TreeCase(CENTRAL_EDGE_FIXED, hung.centre,
-                        shapes.index(codes[hung.root]))
-    r = shapes.index(half_b)
-    unique = shapes.count(half_b, r) == 1
-    return TreeCase(CENTRAL_EDGE_SWAPPED, hung.centre, r + unique, unique)
+    return CENTRAL_EDGE_SWAPPED if half_a == half_b else CENTRAL_EDGE_FIXED
+
+
+def tree_case(t: Graph) -> TreeCase:
+    """Classify a tree by its centre and the central-edge swap, and count D.
+
+    The tree is hung once from its first centre vertex a (t.hung), and
+    every answer is counted in its one ShapeTable (HungTree.shape).  The
+    case comes from centre_case.  When no automorphism moves a, D is the
+    rooted index at a.  A swapped centre edge (a, b) is broken exactly
+    when its halves get inequivalent colourings, so D is the least width
+    with at least two classes for a half: its rooted index r when the
+    optimal class is not unique, else r + 1, since one more colour
+    always adds a class.
+    """
+    kind = centre_case(t)
+    hung = t.hung
+    shapes, codes = hung.shape
+    if kind != CENTRAL_EDGE_SWAPPED:
+        return TreeCase(kind, hung.centre, shapes.index(codes[hung.root]))
+    half = codes[hung.centre.vertices[1]]
+    r = shapes.index(half)
+    unique = shapes.count(half, r) == 1
+    return TreeCase(kind, hung.centre, r + unique, unique)
 
 
 def tree_od_values(t: Graph) -> tuple[int, int, TreeCase]:

@@ -41,11 +41,9 @@ when, at every vertex, the children's coloured classes are distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from math import comb
 from typing import Iterator
 
-from .graphs import (Graph, HungTree, Orientation, hang, hang_centre,
+from .graphs import (Graph, HungTree, Orientation, ShapeTable, hang,
                      is_connected, is_tree)
 from .groups import Permutation
 from .search import code_rows, codes_for, equitable_labels, nontrivial_map
@@ -156,60 +154,6 @@ def dprime_at_most(x: Graph | Orientation, k: int) -> DprimeResult | None:
     return _dprime_search(x, max_width=k)
 
 
-class ShapeTable:
-    """AHU shape codes of rooted trees and their colouring counts E_k.
-
-    graphs.HungTree.codes interns codes in the codes dict, so codes from
-    one table compare as integers across trees, roots and orientations.
-    E_k is memoised per width and extended as the table grows, and the
-    index per code: a sweep over the orientations of one tree counts
-    each directed shape once per width and finds each index once.
-    """
-
-    def __init__(self) -> None:
-        self.codes: dict[tuple[int, ...], int] = {}
-        self._counts: dict[int, list[int]] = {}
-        self._index: dict[int, int] = {}
-
-    def count(self, code: int, k: int) -> int:
-        """E_k of the rooted tree with this code.
-
-        A colouring breaks every root-preserving automorphism exactly
-        when, at each vertex, the pairs (edge colour to a child, class
-        of the child's coloured subtree) are pairwise distinct.  Only
-        children with one key (shape and arc direction) can clash, so
-        E_k(v) is the product, over the keys of v's children, of
-        C(k * E_k(child), multiplicity), and a leaf has E_k = 1.  A key
-        tuple is sorted, so each run of equal entries is one factor, and
-        the product stops at the first factor 0.  The table lists
-        children before parents, so one pass in code order counts every
-        shape with no recursion.
-        """
-        counts = self._counts.setdefault(k, [])
-        if len(counts) == len(self.codes):
-            return counts[code]
-        for key in islice(self.codes, len(counts), None):
-            total, start = 1, 0
-            for end in range(1, len(key) + 1):
-                if end == len(key) or key[end] != key[start]:
-                    total *= comb(k * counts[key[start] >> 1], end - start)
-                    if not total:
-                        break
-                    start = end
-            counts.append(total)
-        return counts[code]
-
-    def index(self, code: int) -> int:
-        """Least width k with E_k(code) > 0: the rooted index, memoised."""
-        k = self._index.get(code)
-        if k is None:
-            k = 1
-            while self.count(code, k) == 0:
-                k += 1
-            self._index[code] = k
-        return k
-
-
 def _root_code(rt: RootedTree, shapes: ShapeTable) -> int:
     hung = hang(rt.tree, rt.root)
     return hung.codes(shapes.codes, hung.away)[rt.root]
@@ -243,7 +187,7 @@ def oriented_tree_index(o: Orientation, shapes: ShapeTable | None = None) -> int
     codes and counts.
     """
     shapes = shapes or ShapeTable()
-    hung = hang_centre(o.base)
+    hung = o.base.hung
     return shapes.index(hung.codes(shapes.codes, o.vector)[hung.root])
 
 
@@ -257,15 +201,15 @@ def oriented_tree_colouring(o: Orientation, width: int) -> Colouring | None:
     exactly when its rooted classes do (see _classes_distinct), so no
     stabiliser search is made.
     """
-    return hung_tree_colouring(hang_centre(o.base), o, width)
+    return hung_tree_colouring(o.base.hung, o, width)
 
 
 def hung_tree_colouring(hung: HungTree, o: Orientation,
                         width: int) -> Colouring | None:
     """oriented_tree_colouring with o's tree already hung from a centre vertex.
 
-    hung must be hang_centre of o's underlying tree, as a sweep over the
-    tree's orientations hangs it once for all.
+    hung must be o's underlying tree hung from its first centre vertex,
+    as Graph.hung holds it.
     """
     m = o.base.m
     vec = o.vector

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
-from math import isqrt
+from itertools import combinations, islice
+from math import comb, isqrt
 
 
 class FormatError(ValueError):
@@ -62,6 +62,17 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def hung(self) -> HungTree:
+        """This tree hung from its first centre vertex (hang_centre).
+
+        Made on first use and kept with the graph, like adj, so the
+        questions asked of one tree (its case, its group, its sweep, its
+        witness colourings) hang it once.  Raises ValueError unless the
+        graph is a tree.
+        """
+        return hang_centre(self)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -537,6 +548,60 @@ def tree_center(g: Graph) -> CenterInfo:
     return CenterInfo("edge", (u, v))
 
 
+class ShapeTable:
+    """AHU shape codes of rooted trees and their colouring counts E_k.
+
+    HungTree.codes interns codes in the codes dict, so codes from one
+    table compare as integers across trees, roots and orientations.
+    E_k is memoised per width and extended as the table grows, and the
+    index per code: a sweep over the orientations of one tree counts
+    each directed shape once per width and finds each index once.
+    """
+
+    def __init__(self) -> None:
+        self.codes: dict[tuple[int, ...], int] = {}
+        self._counts: dict[int, list[int]] = {}
+        self._index: dict[int, int] = {}
+
+    def count(self, code: int, k: int) -> int:
+        """E_k of the rooted tree with this code.
+
+        A colouring breaks every root-preserving automorphism exactly
+        when, at each vertex, the pairs (edge colour to a child, class
+        of the child's coloured subtree) are pairwise distinct.  Only
+        children with one key (shape and arc direction) can clash, so
+        E_k(v) is the product, over the keys of v's children, of
+        C(k * E_k(child), multiplicity), and a leaf has E_k = 1.  A key
+        tuple is sorted, so each run of equal entries is one factor, and
+        the product stops at the first factor 0.  The table lists
+        children before parents, so one pass in code order counts every
+        shape with no recursion.
+        """
+        counts = self._counts.setdefault(k, [])
+        if len(counts) == len(self.codes):
+            return counts[code]
+        for key in islice(self.codes, len(counts), None):
+            total, start = 1, 0
+            for end in range(1, len(key) + 1):
+                if end == len(key) or key[end] != key[start]:
+                    total *= comb(k * counts[key[start] >> 1], end - start)
+                    if not total:
+                        break
+                    start = end
+            counts.append(total)
+        return counts[code]
+
+    def index(self, code: int) -> int:
+        """Least width k with E_k(code) > 0: the rooted index, memoised."""
+        k = self._index.get(code)
+        if k is None:
+            k = 1
+            while self.count(code, k) == 0:
+                k += 1
+            self._index[code] = k
+        return k
+
+
 @dataclass(frozen=True)
 class HungTree:
     """A tree hung from a root, ready to be coded under any orientation.
@@ -558,6 +623,18 @@ class HungTree:
     def away(self) -> int:
         """Direction vector with every arc pointing away from the root."""
         return sum(below << i for _, _, i, below in self.steps)
+
+    @cached_property
+    def shape(self) -> tuple[ShapeTable, list[int]]:
+        """A ShapeTable and every vertex's code in it, arcs pointing away.
+
+        The codes are interned first, so they are numbered as in a fresh
+        table.  Made once per hung tree: the tree's case, index and group
+        read this one table, and what one of them counts or interns is
+        there for the next.
+        """
+        shapes = ShapeTable()
+        return shapes, self.codes(shapes.codes, self.away)
 
     def codes(self, table: dict[tuple[int, ...], int], vec: int) -> list[int]:
         """AHU code of every vertex's subtree under direction vector vec.

@@ -118,10 +118,9 @@ def tree_automorphism_generators(
     Their order is the product of (run length)! over all runs.  A centre
     edge (a, b) is swapped by some automorphism exactly when its two
     halves have equal codes (HungTree.halves); then one such swap, built
-    the same way, doubles the order.
+    the same way, doubles the order.  The codes are hung.shape's.
     """
-    table: dict[tuple[int, ...], int] = {}
-    codes = hung.codes(table, hung.away)
+    shapes, codes = hung.shape
     kids: list[list[int]] = [[] for _ in range(hung.n)]
     for v, p, _, _ in hung.steps:
         kids[p].append(v)
@@ -149,7 +148,7 @@ def tree_automorphism_generators(
             else:
                 run = 1
     if hung.centre.kind == "edge":
-        half_a, half_b = hung.halves(table, codes)
+        half_a, half_b = hung.halves(shapes.codes, codes)
         if half_a == half_b:
             a, b = hung.centre.vertices
             gens.append(swap(a, b, [c for c in kids[a] if c != b]))

@@ -26,12 +26,13 @@ then swaps its centre vertices, as a swap reverses the central arc.
 The representatives of a tree are counted, not searched: every
 automorphism of an oriented tree fixes its centre vertices, so its
 index is a rooted count over directed shape classes.  The tree is hung
-from its first centre vertex once per sweep (graphs.hang_centre), and
-each representative's shape code comes straight from its direction
-vector.  The two final extremes
-get their witness colourings from the same rooted classes, in the
-search's candidate order at the counted width, so they are the search's
-first hits.
+from its first centre vertex once per graph (Graph.hung), and each
+representative's shape code comes straight from its direction vector.
+A tree's witness colourings are found on first read, not by the sweep:
+od_minus and od_plus find theirs before they return, and ODResult the
+first time colouring_min or colouring_max is read.  Each comes from the
+same rooted classes, in the search's candidate order at the counted
+width, so it is the search's first hit.
 
 A tree's group needs no search either: it comes from the same hung
 tree's codes (groups.tree_automorphism_generators).  The orbits, and so
@@ -58,11 +59,13 @@ bound, and no later representative can beat the first to reach it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
-from .distinguishing import Colouring, ShapeTable, dprime, hung_tree_colouring
-from .graphs import Graph, HungTree, Orientation, hang_centre, is_connected
+from .distinguishing import Colouring, dprime, hung_tree_colouring
+from .graphs import (Graph, Orientation, ShapeTable, encode_digraph6,
+                     encode_graph6, is_connected)
 from .groups import (Permutation, automorphism_generators, edge_action,
                      tree_automorphism_generators)
 
@@ -85,15 +88,27 @@ class ODResult:
     """Extremes of the distinguishing index over all orientations.
 
     Witnesses are the least direction vectors attaining each extreme,
-    with an optimal colouring for each.
+    with an optimal colouring for each.  A colouring is found the first
+    time it is read: a tree's sweep counts its values and keeps none, so
+    a colouring never read is never looked for.  What is read is the
+    search's first hit at the counted width, as od_minus and od_plus
+    return it.
     """
 
     od_minus: int
     od_plus: int
     witness_min: Orientation
     witness_max: Orientation
-    colouring_min: Colouring
-    colouring_max: Colouring
+    _found: tuple[Colouring | None, Colouring | None] = field(
+        repr=False, compare=False)
+
+    @cached_property
+    def colouring_min(self) -> Colouring:
+        return _witnessed(self.od_minus, self.witness_min, self._found[0])[2]
+
+    @cached_property
+    def colouring_max(self) -> Colouring:
+        return _witnessed(self.od_plus, self.witness_max, self._found[1])[2]
 
 
 def _action_tables(m: int, actions):
@@ -190,25 +205,26 @@ def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True
     neither |Aut(g)| nor 1 are evaluated; the rigid case is tested
     first, which covers a rigid graph, the single edge and m = 0.  An
     orbit of size 1 has Aut(o) = Aut(g) and takes the ceiling.  A tree's
-    values are counted from direction vectors and carry no colouring, so
-    its extremes get their witnesses after the walk; the tree is hung
-    from its centre once, for its group, its counts and its witnesses.
-    Any other graph's values are searched, D'(g) at most once.  g must
-    be connected, so m = n - 1 tells a tree.
+    values are counted from direction vectors in a table of the sweep's
+    own, its group and ceiling come from g.hung, and its colouring is
+    None until _witnessed finds it.  Any other graph's values are
+    searched, D'(g) at most once.  g must be connected, so m = n - 1
+    tells a tree.
     """
     def search(x):
         r = dprime(x)
         return r.value, r.witness
 
-    hung = group = None
+    group = None
     if g.m == g.n - 1 and g.n > 2:
-        hung = hang_centre(g)
+        hung = g.hung
         group = tree_automorphism_generators(hung)
-        shapes = ShapeTable()
+        own_shapes, codes = hung.shape
+        own = own_shapes.index(codes[hung.root]), None
+        shapes = ShapeTable()  # the sweep's own, gone when it ends
 
         def evaluate(v):
             return shapes.index(hung.codes(shapes.codes, v)[hung.root]), None
-        own = evaluate(hung.away)
     else:
         def evaluate(v):
             return search(Orientation.from_vector(g, v))
@@ -232,28 +248,40 @@ def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True
         if (not least or lo[0] == floor) and (not greatest or hi[0] == ceiling):
             break
     assert lo is not None and hi is not None
-    return (_witnessed(g, hung, *lo) if least else None,
-            _witnessed(g, hung, *hi) if greatest else None)
+    return (_oriented(g, *lo) if least else None,
+            _oriented(g, *hi) if greatest else None)
 
 
-def _witnessed(g: Graph, hung: HungTree | None, value: int, v: int,
-               colouring: Colouring | None):
-    o = Orientation.from_vector(g, v)
+def _oriented(g: Graph, value: int, v: int, colouring: Colouring | None):
+    return value, Orientation.from_vector(g, v), colouring
+
+
+def _witnessed(value: int, o: Orientation, colouring: Colouring | None):
+    """(value, o, colouring), the colouring of a tree found if still None.
+
+    A tree's sweep keeps no colouring: it is the first distinguishing
+    candidate at the counted width, in the search's order, which only a
+    broken count could fail to find.
+    """
     if colouring is None:
-        colouring = hung_tree_colouring(hung, o, value)
+        colouring = hung_tree_colouring(o.base.hung, o, value)
+        if colouring is None:
+            raise AssertionError(
+                f"no colouring of width {value} distinguishes orientation "
+                f"{encode_digraph6(o)} of tree {encode_graph6(o.base)}")
     return value, o, colouring
 
 
 def od_minus(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, Orientation, Colouring]:
     """Least distinguishing index over all orientations, with witnesses."""
     _require_connected(g)
-    return _sweep(g, edge_cap, greatest=False)[0]
+    return _witnessed(*_sweep(g, edge_cap, greatest=False)[0])
 
 
 def od_plus(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, Orientation, Colouring]:
     """Greatest distinguishing index over all orientations, with witnesses."""
     _require_connected(g)
-    return _sweep(g, edge_cap, least=False)[1]
+    return _witnessed(*_sweep(g, edge_cap, least=False)[1])
 
 
 def od_extremes(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> ODResult:
@@ -262,7 +290,7 @@ def od_extremes(g: Graph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> ODResult:
     lo, hi = _sweep(g, edge_cap)
     return ODResult(od_minus=lo[0], od_plus=hi[0],
                     witness_min=lo[1], witness_max=hi[1],
-                    colouring_min=lo[2], colouring_max=hi[2])
+                    _found=(lo[2], hi[2]))
 
 
 def find_rigid_orientation(g: Graph, *,

@@ -43,12 +43,13 @@ import time
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from .complete_bipartite import (BOUNDARY, as_complete_bipartite, dprime_kmn,
                                  od_minus_kmn)
 from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
-                            clawfree_rigid_orientation_trace,
+                            centre_case, clawfree_rigid_orientation_trace,
                             compatible_orientation, hamiltonian_orientation,
                             tree_od_values)
 from .distinguishing import Colouring, dprime, is_distinguishing
@@ -236,24 +237,17 @@ def _check_tree(g: Graph, cap: int, *, swapped: bool):
         return _skip("not a tree")
     if g.n < 3:
         return _skip("fewer than three vertices")
-    lo, hi, case = tree_od_values(g)
-    if (case.kind == CENTRAL_EDGE_SWAPPED) != swapped:
-        return _skip(f"centre case is {case.kind}")
+    kind = centre_case(g)  # D is counted only for the check that goes on
+    if (kind == CENTRAL_EDGE_SWAPPED) != swapped:
+        return _skip(f"centre case is {kind}")
     if g.m > cap:
         return _skip(f"edge count {g.m} over cap {cap}")
+    want = tree_od_values(g)[:2]
     res = od_extremes(g, edge_cap=cap)
     got = (res.od_minus, res.od_plus)
-    if got != (lo, hi):
-        return _viol(f"extremes {(lo, hi)} [{case.kind}]", f"extremes {got}")
+    if got != want:
+        return _viol(f"extremes {want} [{kind}]", f"extremes {got}")
     return _PASS
-
-
-def _check_cor6(g: Graph, cap: int):
-    return _check_tree(g, cap, swapped=False)
-
-
-def _check_thm7(g: Graph, cap: int):
-    return _check_tree(g, cap, swapped=True)
 
 
 def _check_thm8(g: Graph, cap: int):
@@ -455,8 +449,8 @@ def _check_kmn(g: Graph, cap: int):
 _CHECKERS = {
     "obs1": _check_obs1,
     "cor3": _check_cor3,
-    "cor6": _check_cor6,
-    "thm7": _check_thm7,
+    "cor6": partial(_check_tree, swapped=False),
+    "thm7": partial(_check_tree, swapped=True),
     "thm8": _check_thm8,
     "thm9": _check_thm9,
     "thm12": _check_thm12,

@@ -37,7 +37,7 @@ from disorient import (
     trees,
 )
 from disorient import orientations
-from disorient.distinguishing import _classes_distinct
+from disorient.distinguishing import _classes_distinct, hung_tree_colouring
 from disorient.orientations import _action_tables, _orbit_reps, _pendant_floor
 
 
@@ -379,6 +379,39 @@ class TestCountedTreeSweep:
         for o, c, value in ((r.witness_min, r.colouring_min, r.od_minus),
                             (r.witness_max, r.colouring_max, r.od_plus)):
             assert c.width == value and is_distinguishing(o, c)
+
+    def test_tree_colourings_found_on_first_read(self, monkeypatch):
+        # a tree's sweep keeps no colouring: each extreme finds its own the
+        # first time it is read, unless a rigid orbit gave it the constant
+        # colouring, and what it finds is od_minus's or od_plus's
+        wants = [(od_minus(t)[2], od_plus(t)[2]) for t in trees(8)]
+        calls = []
+
+        def spy(hung, o, width):
+            calls.append((o.vector, width))
+            return hung_tree_colouring(hung, o, width)
+        monkeypatch.setattr(orientations, "hung_tree_colouring", spy)
+        found = 0
+        for t, want in zip(trees(8), wants):
+            r = od_extremes(t)
+            assert calls == [], encode_graph6(t)
+            for read, o, c in ((lambda: r.colouring_min, r.witness_min, want[0]),
+                               (lambda: r.colouring_max, r.witness_max, want[1])):
+                assert read() == c and read() == c, encode_graph6(t)
+                assert len(calls) == (0 if is_rigid(o) else 1), encode_graph6(t)
+                found += len(calls)
+                calls.clear()
+        assert found > len(trees(8))
+
+    def test_missing_tree_colouring_raises(self, monkeypatch):
+        t = star_graph(3)
+        monkeypatch.setattr(orientations, "hung_tree_colouring",
+                            lambda hung, o, width: None)
+        r = od_extremes(t)
+        with pytest.raises(AssertionError, match=encode_graph6(t)):
+            r.colouring_max
+        with pytest.raises(AssertionError, match=encode_graph6(t)):
+            od_plus(t)
 
     def test_tree_sweep_makes_no_search(self, monkeypatch):
         calls = []

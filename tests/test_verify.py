@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,12 +29,14 @@ from disorient import (
     encode_graph6,
     find_rigid_orientation,
     hamiltonian_orientation,
+    hang_centre,
     is_distinguishing,
     longest_path,
     od_minus,
     path_graph,
     scan_conjectures,
     star_graph,
+    trees,
     verify_theorem,
 )
 from disorient.graphs import neighbour_masks
@@ -141,6 +144,38 @@ class TestVerifyTheorem:
             r = verify_theorem(corpus, tid, edge_cap=10)
             assert [s.reason for s in r.skipped] == reasons, tid
             assert r.ok and r.passed == len(corpus) - len(reasons)
+
+    def test_one_hanging_per_tree_request(self, monkeypatch):
+        # the case, the group, the sweep and its ceiling share one hanging
+        hangings = []
+
+        def spy(t):
+            hangings.append(t)
+            return hang_centre(t)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "disorient" and \
+                    getattr(module, "hang_centre", None) is hang_centre:
+                monkeypatch.setattr(module, "hang_centre", spy)
+        for t in trees(7):
+            for tid in ("cor6", "thm7"):
+                hangings.clear()
+                verify_theorem(_corpus(t), tid)
+                assert len(hangings) == 1, (tid, encode_graph6(t))
+
+    def test_tree_reports_over_the_bench_trees(self):
+        corpus = Corpus.from_file(
+            Path(__file__).parents[1] / "bench" / "data" / "trees_3_10.g6")
+        cor6, thm7 = (verify_theorem(corpus, t) for t in ("cor6", "thm7"))
+        assert (cor6.total, cor6.passed, cor6.ok) == (199, 183, True)
+        assert Counter(s.reason for s in cor6.skipped) == \
+            {"centre case is central_edge_swapped": 16}
+        assert (thm7.total, thm7.passed, thm7.ok) == (199, 16, True)
+        assert Counter(s.reason for s in thm7.skipped) == \
+            {"centre case is central_vertex": 108,
+             "centre case is central_edge_fixed": 75}
+        # each tree passes the one check its centre case calls for
+        assert {s.graph6 for s in cor6.skipped} | \
+            {s.graph6 for s in thm7.skipped} == set(corpus.labels)
 
     def test_kmn(self):
         r = verify_theorem(
