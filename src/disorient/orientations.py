@@ -257,11 +257,11 @@ def _oriented(g: Graph, value: int, v: int, colouring: Colouring | None):
 
 
 def _witnessed(value: int, o: Orientation, colouring: Colouring | None):
-    """(value, o, colouring), the colouring of a tree found if still None.
+    """(value, o, colouring), with a tree's colouring found if still None.
 
-    A tree's sweep keeps no colouring: it is the first distinguishing
-    candidate at the counted width, in the search's order, which only a
-    broken count could fail to find.
+    The colouring found is the first distinguishing candidate at the
+    counted width, in the search's order.  Only a wrong count could
+    leave none, and that raises instead of returning None.
     """
     if colouring is None:
         colouring = hung_tree_colouring(o.base.hung, o, value)
