@@ -23,8 +23,8 @@ from .distinguishing import Colouring
 from .graphs import (CenterInfo, Graph, Orientation, bipartition,
                      hamiltonian_path, is_claw_free, is_connected,
                      longest_cycle)
-from .groups import (Permutation, arc_permutation, arcs_of, is_automorphism,
-                     is_twisted, nontrivial_automorphism)
+from .groups import (Permutation, edge_action, is_automorphism, is_twisted,
+                     nontrivial_automorphism)
 
 CENTRAL_VERTEX = "central_vertex"
 CENTRAL_EDGE_FIXED = "central_edge_fixed"
@@ -246,30 +246,25 @@ def hamiltonian_orientation(g: Graph, path=None) -> Orientation:
 def compatible_orientation(g: Graph, p: Permutation) -> Orientation:
     """An orientation preserved by the given non-twisted automorphism.
 
-    Sweeps the cycles of the induced arc permutation in index order,
-    adopting the least unoriented arc of each fresh cycle and
-    propagating it; mirror cycles are already consistent when reached.
+    Walks the cycles of p's action on edges (edge_action), each from its
+    least edge, which keeps its canonical direction; each edge passes its
+    direction on to its image, reversed where p reverses the edge, and a
+    non-twisted p brings the direction back unchanged when the cycle
+    closes.
     """
-    ap = arc_permutation(g, p)
     if is_twisted(g, p):
         raise ValueError("twisted automorphism admits no compatible orientation")
-    arcs = arcs_of(g)
-    chosen: dict[int, tuple[int, int]] = {}
-    for a in range(len(arcs)):
-        if a // 2 in chosen:
-            continue
-        b = a
-        while True:
-            t, h = arcs[b]
-            e = b // 2
-            if e in chosen and chosen[e] != (t, h):
-                raise ConstructionError(
-                    f"cycle through arc {arcs[a]} conflicts at edge {g.edges[e]}")
-            chosen[e] = (t, h)
-            b = ap.image[b]
-            if b == a:
-                break
-    o = Orientation.from_arcs(g, [chosen[e] for e in range(g.m)])
+    perm, flips = edge_action(g, p)
+    vector = 0
+    for cycle in Permutation(perm).cycles():
+        bit = 0
+        for j in cycle:
+            vector |= bit << j
+            bit ^= flips >> j & 1
+        if bit:
+            e = g.edges[cycle[0]]
+            raise ConstructionError(f"cycle through arc {e} conflicts at edge {e}")
+    o = Orientation.from_vector(g, vector)
     if not is_automorphism(o, p):
         raise ConstructionError("constructed orientation does not admit the automorphism")
     return o

@@ -45,7 +45,7 @@ from typing import Iterator
 
 from .graphs import (Graph, HungTree, Orientation, ShapeTable, hang,
                      is_connected, is_tree)
-from .groups import Permutation
+from .groups import Permutation, edge_action, is_automorphism
 from .search import code_rows, codes_for, equitable_labels, nontrivial_map
 
 _BREAKER_CACHE_LIMIT = 64
@@ -67,10 +67,6 @@ class Colouring:
     @classmethod
     def constant(cls, m: int) -> Colouring:
         return cls(1, (1,) * m)
-
-    @property
-    def distinct_count(self) -> int:
-        return len(set(self.assignment))
 
 
 @dataclass(frozen=True)
@@ -95,24 +91,28 @@ class RootedTree:
             raise ValueError("root out of range")
 
 
-def preserves(x: Graph | Orientation, colouring: Colouring, p: Permutation) -> bool:
-    """Whether p is an automorphism of x that also fixes every colour class."""
+def _coloured_base(x: Graph | Orientation, colouring: Colouring) -> Graph:
+    """x's underlying graph, once the colouring is checked to fit its edges."""
     g = x.base if isinstance(x, Orientation) else x
     if len(colouring.assignment) != g.m:
         raise ValueError("colouring length does not match the edge count")
-    eperm = _edge_perm(x, p.image)
-    if eperm is None:
+    return g
+
+
+def preserves(x: Graph | Orientation, colouring: Colouring, p: Permutation) -> bool:
+    """Whether p is an automorphism of x that also fixes every colour class."""
+    g = _coloured_base(x, colouring)
+    if not is_automorphism(x, p):
         return False
-    return all(colouring.assignment[eperm[i]] == c
+    perm = edge_action(g, p)[0]
+    return all(colouring.assignment[perm[i]] == c
                for i, c in enumerate(colouring.assignment))
 
 
 def colour_preserving_automorphism(
         x: Graph | Orientation, colouring: Colouring) -> Permutation | None:
     """Least non-identity automorphism preserving the colouring, if any."""
-    g = x.base if isinstance(x, Orientation) else x
-    if len(colouring.assignment) != g.m:
-        raise ValueError("colouring length does not match the edge count")
+    _coloured_base(x, colouring)
     img = nontrivial_map(codes_for(x, colours=colouring.assignment))
     return None if img is None else Permutation(img)
 
@@ -130,12 +130,7 @@ def dprime(x: Graph | Orientation, *, min_width: int = 1) -> DprimeResult:
     there: no narrower width has a distinguishing colouring to hit, so
     the witness is the same.
     """
-    g = x.base if isinstance(x, Orientation) else x
-    if not is_connected(g):
-        raise ValueError("distinguishing index requires a connected graph")
-    if isinstance(x, Graph) and g.n == 2:
-        raise ValueError(
-            "the distinguishing index of a single undirected edge is undefined")
+    _require_index_input(x)
     result = _dprime_search(x, min_width=min_width)
     assert result is not None
     return result
@@ -143,15 +138,20 @@ def dprime(x: Graph | Orientation, *, min_width: int = 1) -> DprimeResult:
 
 def dprime_at_most(x: Graph | Orientation, k: int) -> DprimeResult | None:
     """Result if the distinguishing index is at most k, else None."""
+    _require_index_input(x)
+    if k < 1:
+        return None  # no index is below 1
+    return _dprime_search(x, max_width=k)
+
+
+def _require_index_input(x: Graph | Orientation) -> None:
+    """Reject what has no distinguishing index: a disconnected graph or K2."""
     g = x.base if isinstance(x, Orientation) else x
     if not is_connected(g):
         raise ValueError("distinguishing index requires a connected graph")
     if isinstance(x, Graph) and g.n == 2:
         raise ValueError(
             "the distinguishing index of a single undirected edge is undefined")
-    if k < 1:
-        return None  # no index is below 1
-    return _dprime_search(x, max_width=k)
 
 
 def _root_code(rt: RootedTree, shapes: ShapeTable) -> int:
@@ -201,17 +201,8 @@ def oriented_tree_colouring(o: Orientation, width: int) -> Colouring | None:
     exactly when its rooted classes do (see _classes_distinct), so no
     stabiliser search is made.
     """
-    return hung_tree_colouring(o.base.hung, o, width)
-
-
-def hung_tree_colouring(hung: HungTree, o: Orientation,
-                        width: int) -> Colouring | None:
-    """oriented_tree_colouring with o's tree already hung from a centre vertex.
-
-    hung must be o's underlying tree hung from its first centre vertex,
-    as Graph.hung holds it.
-    """
     m = o.base.m
+    hung = o.base.hung
     vec = o.vector
     prior = _prior_twins(m, _twin_cliques(o))
     for assignment in _candidate_strings(m, width, prior):
@@ -240,23 +231,6 @@ def _classes_distinct(hung: HungTree, vec: int, assignment) -> bool:
         keys[p].append((assignment[i], vec >> i & 1 ^ below, code))
     kr = keys[hung.root]
     return len(set(kr)) == len(kr)
-
-
-def _edge_perm(x: Graph | Orientation, image: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Edge-index permutation induced by a vertex bijection, or None.
-
-    None means the bijection is not an automorphism of x.
-    """
-    if isinstance(x, Orientation):
-        g = x.base
-        arcset = set(x.arcs)
-        if any((image[t], image[h]) not in arcset for t, h in x.arcs):
-            return None
-    else:
-        g = x
-        if any(not g.has_edge(image[u], image[v]) for u, v in g.edges):
-            return None
-    return tuple(g.index_of(image[u], image[v]) for u, v in g.edges)
 
 
 def _twin_cliques(x: Graph | Orientation) -> list[list[int]]:
@@ -373,7 +347,7 @@ def _dprime_search(x: Graph | Orientation, *, min_width: int = 1,
 
     cliques = _twin_cliques(x)
     prior = _prior_twins(m, cliques)
-    first = _moved(_edge_perm(x, breaker))
+    first = _moved(edge_action(g, Permutation(breaker))[0])
     cache = [first]
     admitted = {first}
     top = m if max_width is None else min(m, max_width)
@@ -394,7 +368,7 @@ def _dprime_search(x: Graph | Orientation, *, min_width: int = 1,
                 if img is None:
                     return DprimeResult(k, Colouring(k, assignment))
                 if len(admitted) < _BREAKER_CACHE_LIMIT:
-                    pairs = _moved(_edge_perm(x, img))
+                    pairs = _moved(edge_action(g, Permutation(img))[0])
                     if pairs not in admitted:
                         admitted.add(pairs)
                         cache.insert(0, pairs)

@@ -150,13 +150,6 @@ class Orientation:
             out[t].add(h)
         return tuple(frozenset(s) for s in out)
 
-    @cached_property
-    def in_adj(self) -> tuple[frozenset[int], ...]:
-        inn: list[set[int]] = [set() for _ in range(self.base.n)]
-        for t, h in self.arcs:
-            inn[h].add(t)
-        return tuple(frozenset(s) for s in inn)
-
     def relabel(self, image) -> Orientation:
         new_base = self.base.relabel(image)
         return Orientation.from_arcs(new_base, ((image[t], image[h]) for t, h in self.arcs))

@@ -199,22 +199,28 @@ def arcs_of(g: Graph) -> tuple[tuple[int, int], ...]:
 
 
 def arc_permutation(g: Graph, p: Permutation) -> Permutation:
-    """Action of an automorphism on the 2|E| ordered arcs."""
+    """Action of an automorphism on the 2|E| ordered arcs.
+
+    Arc 2i + b goes to arc 2 perm[i] + (b XOR bit i of flips), with
+    (perm, flips) the automorphism's edge_action.
+    """
     if not is_automorphism(g, p):
         raise ValueError("permutation is not an automorphism of the graph")
-    index = {}
-    for i, (u, v) in enumerate(g.edges):
-        index[(u, v)] = 2 * i
-        index[(v, u)] = 2 * i + 1
-    arcs = arcs_of(g)
-    return Permutation(tuple(index[(p.image[t], p.image[h])] for t, h in arcs))
+    perm, flips = edge_action(g, p)
+    image = []
+    for i, j in enumerate(perm):
+        b = flips >> i & 1
+        image += [2 * j + b, 2 * j + (b ^ 1)]
+    return Permutation(tuple(image))
 
 
 def edge_action(g: Graph, p: Permutation) -> tuple[tuple[int, ...], int]:
-    """Action of an automorphism on direction vectors.
+    """Action of an automorphism on edge indices and direction vectors.
 
-    Returns (perm, flips): output bit perm[i] equals input bit i XOR
-    bit i of flips.
+    Returns (perm, flips): p maps edge i onto edge perm[i], reversing it
+    when bit i of flips is set, so output bit perm[i] of a direction
+    vector equals input bit i XOR bit i of flips.  This is the one place
+    a vertex map is carried onto edges.
     """
     perm = []
     flips = 0
@@ -225,6 +231,61 @@ def edge_action(g: Graph, p: Permutation) -> tuple[tuple[int, ...], int]:
             flips |= 1 << i
         perm.append(g.edge_index[(pu, pv)])
     return tuple(perm), flips
+
+
+def _action_tables(k: int, actions):
+    """Split each vector action into two table lookups by half-words.
+
+    The action v -> perm(v ^ flips) is affine over GF(2), so each half's
+    table starts from the image of 0, its flips moved through perm, and
+    doubles once per bit: the entries with bit i set are those without
+    it, each XORed with the image of bit i.
+    """
+    lo_bits = (k + 1) // 2
+    tables = []
+    for perm, flips in actions:
+        halves = []
+        for shift, bits in ((0, lo_bits), (lo_bits, k - lo_bits)):
+            moved = [1 << perm[shift + i] for i in range(bits)]
+            half = [sum(b for i, b in enumerate(moved)
+                        if flips >> (shift + i) & 1)]
+            for b in moved:
+                half += [w ^ b for w in half]
+            halves.append(half)
+        tables.append(halves)
+    return lo_bits, tables
+
+
+def orbit_minima(k: int, actions) -> Iterator[tuple[int, int]]:
+    """(least vector, orbit size) of each orbit of the k-bit vectors.
+
+    actions are affine maps (perm, flips), each taking v to the vector
+    whose bit perm[i] is bit i of v XOR bit i of flips; the orbits are
+    those of the group they generate.  An edge_action acts on direction
+    vectors, and a vertex permutation with no flips on vertex sets.
+    Vectors come in ascending order.  Each orbit is closed over the
+    actions when the walk reaches its least vector, before that vector
+    is handed out, so a caller that stops early never pays for the
+    orbits it skips.
+    """
+    lo_bits, tables = _action_tables(k, actions)
+    mask = (1 << lo_bits) - 1
+    seen = bytearray(1 << k)
+    for v in range(1 << k):
+        if seen[v]:
+            continue
+        seen[v] = 1
+        stack = [v]
+        size = 1
+        while stack:
+            u = stack.pop()
+            for lo, hi in tables:
+                w = lo[u & mask] | hi[u >> lo_bits]
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+                    size += 1
+        yield v, size
 
 
 def is_twisted(g: Graph, p: Permutation) -> bool:

@@ -63,11 +63,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
-from .distinguishing import Colouring, dprime, hung_tree_colouring
+from .distinguishing import Colouring, dprime, oriented_tree_colouring
 from .graphs import (Graph, Orientation, ShapeTable, encode_digraph6,
                      encode_graph6, is_connected)
 from .groups import (Permutation, automorphism_generators, edge_action,
-                     tree_automorphism_generators)
+                     orbit_minima, tree_automorphism_generators)
 
 DEFAULT_EDGE_CAP = 20
 
@@ -111,60 +111,20 @@ class ODResult:
         return _witnessed(self.od_plus, self.witness_max, self._found[1])[2]
 
 
-def _action_tables(m: int, actions):
-    """Split each vector action into two table lookups by half-words.
-
-    The action v -> perm(v ^ flips) is affine over GF(2), so each half's
-    table starts from the image of 0, its flips moved through perm, and
-    doubles once per bit: the entries with bit i set are those without
-    it, each XORed with the image of bit i.
-    """
-    lo_bits = (m + 1) // 2
-    tables = []
-    for perm, flips in actions:
-        halves = []
-        for shift, bits in ((0, lo_bits), (lo_bits, m - lo_bits)):
-            moved = [1 << perm[shift + i] for i in range(bits)]
-            half = [sum(b for i, b in enumerate(moved)
-                        if flips >> (shift + i) & 1)]
-            for b in moved:
-                half += [w ^ b for w in half]
-            halves.append(half)
-        tables.append(halves)
-    return lo_bits, tables
-
-
 def _orbit_reps(g: Graph, edge_cap: int,
                 group: tuple[tuple[Permutation, ...], int] | None = None,
                 ) -> Iterator[tuple[int, int, int]]:
     """(least vector, orbit size, |Aut(g)|) of each orbit under Aut(g).
 
-    Vectors come in ascending order.  Each orbit is closed over the
-    generators' actions when the walk reaches its least vector, before
-    that vector is handed out.  group is Aut(g) as generators and order,
+    Vectors come in ascending order, from groups.orbit_minima over the
+    generators' edge actions.  group is Aut(g) as generators and order,
     found by the generic search when not given; the output depends only
     on the group, not on which generators stand for it.
     """
     if g.m > edge_cap:
         raise EdgeCapError(g.m, edge_cap)
     gens, order = group or automorphism_generators(g)
-    lo_bits, tables = _action_tables(g.m, [edge_action(g, p) for p in gens])
-    mask = (1 << lo_bits) - 1
-    seen = bytearray(1 << g.m)
-    for v in range(1 << g.m):
-        if seen[v]:
-            continue
-        seen[v] = 1
-        stack = [v]
-        size = 1
-        while stack:
-            u = stack.pop()
-            for lo, hi in tables:
-                w = lo[u & mask] | hi[u >> lo_bits]
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-                    size += 1
+    for v, size in orbit_minima(g.m, [edge_action(g, p) for p in gens]):
         yield v, size, order
 
 
@@ -264,7 +224,7 @@ def _witnessed(value: int, o: Orientation, colouring: Colouring | None):
     leave none, and that raises instead of returning None.
     """
     if colouring is None:
-        colouring = hung_tree_colouring(o.base.hung, o, value)
+        colouring = oriented_tree_colouring(o, value)
         if colouring is None:
             raise AssertionError(
                 f"no colouring of width {value} distinguishes orientation "

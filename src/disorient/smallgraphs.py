@@ -48,6 +48,7 @@ from itertools import combinations
 
 from .graphs import (Graph, bipartition, encode_graph6, hang_centre,
                      is_claw_free, neighbour_masks)
+from .groups import orbit_minima
 from .search import canonical_form, graph_codes, strong_generators
 
 
@@ -86,28 +87,6 @@ def double_star(a: int, b: int) -> Graph:
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and \
         canonical_form(graph_codes(g)) == canonical_form(graph_codes(h))
-
-
-def _least_masks(n: int, gens) -> list[int]:
-    """Non-empty vertex sets, as bitmasks, least in their orbit under gens."""
-    seen = bytearray(1 << n)
-    least = []
-    for mask in range(1, 1 << n):
-        if seen[mask]:
-            continue
-        least.append(mask)
-        seen[mask] = 1
-        orbit = [mask]
-        for m in orbit:
-            for gen in gens:
-                img = 0
-                for v in range(n):
-                    if m >> v & 1:
-                        img |= 1 << gen[v]
-                if not seen[img]:
-                    seen[img] = 1
-                    orbit.append(img)
-    return least
 
 
 def _extends_clawfree(bits: list[int], mask: int) -> bool:
@@ -194,7 +173,8 @@ def _grow(parents, keep=None) -> tuple[Graph, ...]:
         n = g.n
         codes = graph_codes(g)
         bits = neighbour_masks(g)
-        for mask in _least_masks(n, strong_generators(codes)[0]):
+        gens = strong_generators(codes)[0]
+        for mask in [v for v, _ in orbit_minima(n, [(gen, 0) for gen in gens]) if v]:
             if keep is not None and not keep(bits, mask):
                 continue
             child = [b | (mask >> v & 1) << n for v, b in enumerate(bits)]

@@ -1,5 +1,6 @@
 """Constructive orientation procedures and the tree case analysis."""
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -259,6 +260,14 @@ class TestCompatibleOrientation:
         with pytest.raises(ValueError, match="twisted"):
             compatible_orientation(cycle_graph(4), Permutation((1, 0, 3, 2)))
 
+    def test_conflicting_cycle_raises(self, monkeypatch):
+        # the 4-cycle of K4 takes the arc 0->2 to 1->3 and then to 2->0, so
+        # the edge cycle through (0, 2) closes with the direction reversed;
+        # is_twisted would have refused the map first
+        monkeypatch.setattr(constructions, "is_twisted", lambda g, p: False)
+        with pytest.raises(ConstructionError, match=r"conflicts at edge \(0, 2\)"):
+            compatible_orientation(complete_graph(4), Permutation((1, 2, 3, 0)))
+
     def test_preserved_across_small_graphs(self):
         from disorient import connected_graphs, is_twisted
         for g in connected_graphs(5):
@@ -267,6 +276,19 @@ class TestCompatibleOrientation:
                     continue
                 o = compatible_orientation(g, p)
                 assert is_automorphism(o, p), (encode_graph6(g), p.image)
+
+    def test_orientations_pinned(self):
+        # SHA-256 of the newline-joined digraph6 of compatible_orientation(g, p)
+        # for every non-twisted p of every connected graph on <= 6 vertices,
+        # in corpus and automorphisms order: pins each orientation, not only
+        # that it admits p
+        from disorient import encode_digraph6, is_twisted
+        lines = [encode_digraph6(compatible_orientation(g, p))
+                 for n in range(1, 7) for g in connected_graphs(n)
+                 for p in automorphisms(g) if not is_twisted(g, p)]
+        assert len(lines) == 947
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "f8ad6cd51be6f51b69f812fbade4bd541b8c7702d1c0ebd41f5fcb5e6395bb90"
 
 
 class TestClawfree:

@@ -72,6 +72,13 @@ class TestBreaks:
         with pytest.raises(ValueError):
             preserves(path_graph(3), Colouring(2, (1,)), Permutation.identity(3))
 
+    def test_short_permutation_is_no_automorphism(self):
+        # a map on fewer or more points than the graph has vertices is no
+        # automorphism, as is_automorphism says for a length mismatch
+        g = path_graph(3)
+        assert not preserves(g, Colouring(2, (1, 2)), Permutation((1, 0)))
+        assert not preserves(g, Colouring(2, (1, 1)), Permutation.identity(4))
+
 
 class TestDprime:
     def test_triangle(self):

@@ -37,8 +37,9 @@ from disorient import (
     trees,
 )
 from disorient import orientations
-from disorient.distinguishing import _classes_distinct, hung_tree_colouring
-from disorient.orientations import _action_tables, _orbit_reps, _pendant_floor
+from disorient.distinguishing import _classes_distinct
+from disorient.groups import _action_tables, orbit_minima
+from disorient.orientations import _orbit_reps, _pendant_floor
 
 
 def _orbit_of(g, vec):
@@ -387,10 +388,10 @@ class TestCountedTreeSweep:
         wants = [(od_minus(t)[2], od_plus(t)[2]) for t in trees(8)]
         calls = []
 
-        def spy(hung, o, width):
+        def spy(o, width):
             calls.append((o.vector, width))
-            return hung_tree_colouring(hung, o, width)
-        monkeypatch.setattr(orientations, "hung_tree_colouring", spy)
+            return oriented_tree_colouring(o, width)
+        monkeypatch.setattr(orientations, "oriented_tree_colouring", spy)
         found = 0
         for t, want in zip(trees(8), wants):
             r = od_extremes(t)
@@ -405,8 +406,8 @@ class TestCountedTreeSweep:
 
     def test_missing_tree_colouring_raises(self, monkeypatch):
         t = star_graph(3)
-        monkeypatch.setattr(orientations, "hung_tree_colouring",
-                            lambda hung, o, width: None)
+        monkeypatch.setattr(orientations, "oriented_tree_colouring",
+                            lambda o, width: None)
         r = od_extremes(t)
         with pytest.raises(AssertionError, match=encode_graph6(t)):
             r.colouring_max
@@ -426,8 +427,8 @@ class TestCountedTreeSweep:
 
 
 @st.composite
-def edge_actions(draw):
-    m = draw(st.integers(0, 12))
+def edge_actions(draw, m=None):
+    m = draw(st.integers(0, 12)) if m is None else m
     perm = draw(st.permutations(range(m)))
     flips = draw(st.integers(0, (1 << m) - 1))
     return m, tuple(perm), flips
@@ -452,11 +453,39 @@ class TestActionTables:
                 assert w == want, (m, perm, flips, shift, v)
 
     def test_lookup_permutes_the_vectors(self):
-        # the halves differ in width exactly when m is odd
+        # the halves differ in width exactly when m is odd; the reversal
+        # with every bit flipped is an involution, so each orbit is a
+        # vector and its image, and the walker hands out the lesser
         for m in (11, 12):
             perm = tuple(reversed(range(m)))
-            lo_bits, [(lo, hi)] = _action_tables(m, [(perm, (1 << m) - 1)])
-            assert len(lo) * len(hi) == 1 << m
-            full = [lo[v & (1 << lo_bits) - 1] | hi[v >> lo_bits]
-                    for v in range(1 << m)]
-            assert sorted(full) == list(range(1 << m))
+            flips = (1 << m) - 1
+
+            def image(v):
+                return sum(((v >> i & 1) ^ 1) << perm[i] for i in range(m))
+            want = [(v, 1 + (image(v) != v)) for v in range(1 << m)
+                    if v <= image(v)]
+            assert list(orbit_minima(m, [(perm, flips)])) == want
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.lists(edge_actions(6), max_size=3))
+    def test_orbits_are_closures(self, actions):
+        # each orbit is everything its least vector reaches under the
+        # actions, the orbits partition the vectors, and come ascending
+        def image(v, perm, flips):
+            return sum(((v >> i & 1) ^ (flips >> i & 1)) << perm[i]
+                       for i in range(len(perm)))
+        got = list(orbit_minima(6, [(perm, flips) for _, perm, flips in actions]))
+        left = set(range(1 << 6))
+        for v, size in got:
+            orbit = {v}
+            frontier = [v]
+            while frontier:
+                u = frontier.pop()
+                for _, perm, flips in actions:
+                    w = image(u, perm, flips)
+                    if w not in orbit:
+                        orbit.add(w)
+                        frontier.append(w)
+            assert min(orbit) == v and len(orbit) == size and orbit <= left
+            left -= orbit
+        assert not left and [v for v, _ in got] == sorted(v for v, _ in got)

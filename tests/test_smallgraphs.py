@@ -27,9 +27,10 @@ from disorient import (
 )
 from disorient import smallgraphs
 from disorient.graphs import Graph
+from disorient.groups import orbit_minima
 from disorient.search import canonical_form, graph_codes, strong_generators
 from disorient.smallgraphs import (_bucket_key, _earlier_parent,
-                                   _extends_clawfree, _grow, _least_masks)
+                                   _extends_clawfree, _grow)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11,
@@ -58,13 +59,19 @@ def _child(g: Graph, mask: int) -> Graph:
     return Graph.from_edges(g.n + 1, list(g.edges) + extra)
 
 
+def _least_masks(g: Graph) -> list[int]:
+    """Non-empty vertex sets of g, as bitmasks, least in their orbit."""
+    gens = strong_generators(graph_codes(g))[0]
+    return [v for v, _ in orbit_minima(g.n, [(gen, 0) for gen in gens]) if v]
+
+
 def _reference_grow(parents, keep=None) -> tuple[Graph, ...]:
     """Unscreened growth: every orbit-least mask, deduplicated by form."""
     seen = set()
     out = []
     for g in parents:
         bits = _bits(g)
-        for mask in _least_masks(g.n, strong_generators(graph_codes(g))[0]):
+        for mask in _least_masks(g):
             if keep is not None and not keep(bits, mask):
                 continue
             h = _child(g, mask)
@@ -178,14 +185,18 @@ class TestGrowth:
                         is_claw_free(_child(g, mask)), (g, mask)
 
     def test_least_masks_one_per_orbit(self):
+        # a vertex map acts on vertex sets as an action with no flips
         for n in range(1, 6):
             for g in connected_graphs(n):
                 images = oracles.brute_automorphism_images(g)
-                least = {min(sum(1 << img[v] for v in range(n) if mask >> v & 1)
-                             for img in images)
-                         for mask in range(1, 1 << n)}
+                orbits = {}
+                for mask in range(1 << n):
+                    orbit = {sum(1 << img[v] for v in range(n) if mask >> v & 1)
+                             for img in images}
+                    orbits[min(orbit)] = len(orbit)
                 gens = strong_generators(graph_codes(g))[0]
-                assert _least_masks(n, gens) == sorted(least), g
+                assert list(orbit_minima(n, [(gen, 0) for gen in gens])) == \
+                    sorted(orbits.items()), g
 
 
 class TestScreens:
@@ -216,7 +227,7 @@ class TestScreens:
                              for mask in range(1, 1 << n))
             rejected = 0
             for g in parents:
-                for mask in _least_masks(n, strong_generators(graph_codes(g))[0]):
+                for mask in _least_masks(g):
                     h = _child(g, mask)
                     if not _earlier_parent(_bits(h)):
                         continue
