@@ -1,9 +1,10 @@
 """Closed-form predictions for complete bipartite class sizes.
 
 For classes of sizes m < n the index is r or r+1 where r is the least
-radix with n <= r^m; the switch happens at a pivot just below r^m, and
-exactly at the pivot the prediction falls back to an exact computation
-when the graph is small enough, otherwise reports the bracket.
+radix with n <= r^m; the switch happens at a pivot r^m - t just below
+r^m.  At the pivot the t column vectors left out have the same
+symmetries as the n kept ones, so the value there comes from the much
+smaller K_{t,m}.
 """
 
 from disorient import (complete_bipartite_graph, dprime, dprime_kmn,
@@ -15,9 +16,10 @@ for m, n in [(2, 3), (2, 4), (3, 5), (3, 6), (4, 20)]:
     print(f"K_{{{m},{n}}}: {p.to_json()}")
     print(f"          minimum over orientations: {q.to_json()}")
 
-# boundary sizes stay brackets when told not to fall back
-p = dprime_kmn(3, 6, exact_cap=0)
-print("pivot case without fallback:", p.to_json())
+# pivot sizes far past any search, each settled by a smaller K_{t,m}
+for m, n, t in [(4, 14, 2), (5, 29, 3)]:
+    print(f"pivot K_{{{m},{n}}} through K_{{{t},{m}}}:",
+          dprime_kmn(m, n).to_json(), "from", dprime_kmn(t, m).to_json())
 
 # the predictions agree with a full sweep on a desk-sized example
 g = complete_bipartite_graph(2, 4)

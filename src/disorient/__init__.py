@@ -8,9 +8,8 @@ symmetry-compatible and claw-free rigid.  Exhaustive corpora of small
 graphs and a verification harness sit alongside.
 """
 
-from .complete_bipartite import (BOUNDARY, EXACT, RESOLVED, Prediction,
-                                 as_complete_bipartite, dprime_kmn,
-                                 od_minus_kmn)
+from .complete_bipartite import (Prediction, as_complete_bipartite,
+                                 dprime_kmn, od_minus_kmn)
 from .constructions import (CENTRAL_EDGE_FIXED, CENTRAL_EDGE_SWAPPED,
                             CENTRAL_VERTEX, ClawfreeTrace, ConstructionError,
                             OrderedPartition, PairColouring, TreeCase,

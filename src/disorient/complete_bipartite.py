@@ -1,65 +1,54 @@
 """Closed-form distinguishing values for unbalanced complete bipartite graphs.
 
-For K_{m,n} with 2 <= m < n the distinguishing index is governed by the
-radix r with (r-1)^m < n <= r^m: writing t for the least power of r
-reaching m, the index is r when n <= r^m - t - 1, r + 1 when
-n >= r^m - t + 1, and at n = r^m - t either value can occur.  The
-boundary case is settled here by direct computation whenever the graph
-is small enough to sweep.
+For K_{m,n} with 2 <= m < n an r-colouring is an m x n matrix, and it
+distinguishes exactly when its n columns are distinct and no
+non-identity permutation of the m rows maps the set of columns onto
+itself.  Writing r for the least radix with n <= r^m and t for the least
+power of r reaching m, the index is r when n <= r^m - t - 1 and r + 1
+when n >= r^m - t + 1.  At the pivot n = r^m - t the columns leave out
+exactly t vectors of [r]^m, and a set of vectors and its complement have
+the same stabiliser; so the index is r exactly when those t vectors can
+be chosen with no symmetry, that is when t = 1 or K_{t,m} has index at
+most r (Imrich, Jerebic and Klavzar 2008; Fisher and Isaak 2008).
 
 The minimum over orientations follows by halving: with m < n no
 automorphism swaps the two sides, so both classes are fixed setwise and
 the layered-orientation argument gives exactly the ceiling of half the
-undirected value, branch by branch.
+undirected value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .distinguishing import dprime
 from .graphs import Graph, bipartition
-from .smallgraphs import complete_bipartite_graph
-
-EXACT = "Exact"
-BOUNDARY = "Boundary"
-RESOLVED = "Resolved"
-
-# Largest edge count m*n for which the boundary case falls back to a
-# direct computation instead of reporting the two candidate values.
-DEFAULT_EXACT_CAP = 20
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """Predicted value, either pinned down or bracketed by two candidates."""
+    """Index of K_{m,n}, with the radix r that governs it."""
 
     m: int
     n: int
     r: int
-    kind: str
-    value: int | None = None
-    low: int | None = None
-    high: int | None = None
-    via: str | None = None
+    value: int
 
     def to_json(self) -> dict:
-        out: dict = {"m": self.m, "n": self.n, "r": self.r, "kind": self.kind}
-        if self.kind == BOUNDARY:
-            out["low"] = self.low
-            out["high"] = self.high
-        else:
-            out["value"] = self.value
-        if self.via is not None:
-            out["via"] = self.via
-        return out
+        return asdict(self)
 
 
 def _radix(m: int, n: int) -> int:
-    r = 2
-    while r**m < n:
-        r += 1
-    return r
+    """Least r >= 2 with r^m >= n, by doubling and then bisection."""
+    low, high = 1, 2
+    while high**m < n:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if mid**m < n:
+            low = mid
+        else:
+            high = mid
+    return high
 
 
 def _ceil_log(r: int, m: int) -> int:
@@ -69,43 +58,22 @@ def _ceil_log(r: int, m: int) -> int:
     return t
 
 
-def _validate(m: int, n: int) -> None:
+def dprime_kmn(m: int, n: int) -> Prediction:
+    """Distinguishing index of K_{m,n} for 2 <= m < n, without sweeping."""
     if not 2 <= m < n:
         raise ValueError("complete bipartite predictions need 2 <= m < n")
-
-
-def dprime_kmn(m: int, n: int, *, exact_cap: int = DEFAULT_EXACT_CAP) -> Prediction:
-    """Distinguishing index of K_{m,n} for 2 <= m < n, without sweeping.
-
-    Away from the single boundary size the value is exact.  On the
-    boundary the result is resolved by building the graph when it has at
-    most exact_cap edges, and otherwise reports both candidates.
-    """
-    _validate(m, n)
     r = _radix(m, n)
     t = _ceil_log(r, m)
     pivot = r**m - t
-    if n <= pivot - 1:
-        return Prediction(m, n, r, EXACT, value=r)
-    if n >= pivot + 1:
-        return Prediction(m, n, r, EXACT, value=r + 1)
-    if m * n <= exact_cap:
-        exact = dprime(complete_bipartite_graph(m, n)).value
-        return Prediction(m, n, r, RESOLVED, value=exact, via="exact-fallback")
-    return Prediction(m, n, r, BOUNDARY, low=r, high=r + 1)
+    if n < pivot or (n == pivot and (t == 1 or dprime_kmn(t, m).value <= r)):
+        return Prediction(m, n, r, r)
+    return Prediction(m, n, r, r + 1)
 
 
-def od_minus_kmn(m: int, n: int, *, exact_cap: int = DEFAULT_EXACT_CAP) -> Prediction:
+def od_minus_kmn(m: int, n: int) -> Prediction:
     """Least distinguishing index over all orientations of K_{m,n}."""
-    base = dprime_kmn(m, n, exact_cap=exact_cap)
-    if base.kind != BOUNDARY:
-        half = -(-base.value // 2)
-        return Prediction(m, n, base.r, base.kind, value=half, via=base.via)
-    low = -(-base.low // 2)
-    high = -(-base.high // 2)
-    if low == high:
-        return Prediction(m, n, base.r, EXACT, value=low)
-    return Prediction(m, n, base.r, BOUNDARY, low=low, high=high)
+    base = dprime_kmn(m, n)
+    return Prediction(m, n, base.r, -(-base.value // 2))
 
 
 def as_complete_bipartite(g: Graph) -> tuple[int, int] | None:

@@ -121,17 +121,14 @@ def is_distinguishing(x: Graph | Orientation, colouring: Colouring) -> bool:
     return colour_preserving_automorphism(x, colouring) is None
 
 
-def dprime(x: Graph | Orientation, *, min_width: int = 1) -> DprimeResult:
+def dprime(x: Graph | Orientation) -> DprimeResult:
     """Exact distinguishing index with a deterministic witness colouring.
 
     The witness is the first hit in a fixed enumeration order, so equal
-    inputs always produce identical output.  A caller that knows the
-    index is at least min_width (say, from a count) may start the search
-    there: no narrower width has a distinguishing colouring to hit, so
-    the witness is the same.
+    inputs always produce identical output.
     """
     _require_index_input(x)
-    result = _dprime_search(x, min_width=min_width)
+    result = _dprime_search(x)
     assert result is not None
     return result
 
@@ -326,7 +323,7 @@ def _moved(eperm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i, j in enumerate(eperm) if i != j)
 
 
-def _dprime_search(x: Graph | Orientation, *, min_width: int = 1,
+def _dprime_search(x: Graph | Orientation, *,
                    max_width: int | None = None) -> DprimeResult | None:
     """First distinguishing colouring from the least width that can have one.
 
@@ -351,7 +348,7 @@ def _dprime_search(x: Graph | Orientation, *, min_width: int = 1,
     cache = [first]
     admitted = {first}
     top = m if max_width is None else min(m, max_width)
-    for k in range(max(_width_floor(x, cliques), min_width), top + 1):
+    for k in range(_width_floor(x, cliques), top + 1):
         for assignment in _candidate_strings(m, k, prior):
             for pos, pairs in enumerate(cache):
                 for i, j in pairs:

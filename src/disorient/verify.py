@@ -46,8 +46,7 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
-from .complete_bipartite import (BOUNDARY, as_complete_bipartite, dprime_kmn,
-                                 od_minus_kmn)
+from .complete_bipartite import as_complete_bipartite, dprime_kmn, od_minus_kmn
 from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
                             centre_case, clawfree_rigid_orientation_trace,
                             compatible_orientation, hamiltonian_orientation,
@@ -424,23 +423,16 @@ def _check_kmn(g: Graph, cap: int):
     if not 2 <= m < n:
         return _skip("needs classes of sizes 2 <= m < n")
     pred = dprime_kmn(m, n)
-    if pred.kind == BOUNDARY:
-        return _skip("boundary size left unresolved by the prediction")
     d = dprime(g).value
     if d != pred.value:
-        return _viol(f"distinguishing index {pred.value} ({pred.kind})",
-                     f"{d}")
+        return _viol(f"distinguishing index {pred.value}", f"{d}")
     if g.m > cap:
         return _skip(f"edge count {g.m} over cap {cap}")
     odp = od_minus_kmn(m, n)
     res = od_extremes(g, edge_cap=cap)
     if res.od_plus != d:
         return _viol(f"maximum over orientations {d}", f"{res.od_plus}")
-    if odp.kind == BOUNDARY:
-        if not odp.low <= res.od_minus <= odp.high:
-            return _viol(f"minimum within [{odp.low}, {odp.high}]",
-                         f"{res.od_minus}")
-    elif res.od_minus != odp.value:
+    if res.od_minus != odp.value:
         return _viol(f"minimum over orientations {odp.value}",
                      f"{res.od_minus}")
     return _PASS

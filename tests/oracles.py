@@ -142,6 +142,24 @@ def brute_od_extremes(g: Graph) -> tuple[int, int]:
     return min(values), max(values)
 
 
+def brute_kmn_index(m: int, n: int) -> int:
+    """Index of K_{m,n} for m < n, from its colourings as column sets.
+
+    The least k for which some set of n vectors in [k]^m is kept by no
+    permutation of the m coordinates but the identity.  The n-subsets
+    are tried directly, never their complements.
+    """
+    swaps = list(permutations(range(m)))[1:]
+    k = 1
+    while True:
+        for cols in combinations(product(range(k), repeat=m), n):
+            kept = set(cols)
+            if not any({tuple(c[i] for i in p) for c in cols} == kept
+                       for p in swaps):
+                return k
+        k += 1
+
+
 # ---------------------------------------------------------------------------
 # Twisted test straight from the powers definition
 

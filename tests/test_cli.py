@@ -247,8 +247,8 @@ class TestKmn:
     def test_json(self, capsys):
         code, j = run_json(capsys, ["kmn", "2", "4"])
         assert code == 0
-        assert (j["kind"], j["value"], j["r"]) == ("Exact", 3, 2)
-        assert j["od_minus"]["value"] == 2
+        assert j == {"m": 2, "n": 4, "r": 2, "value": 3,
+                     "od_minus": {"m": 2, "n": 4, "r": 2, "value": 2}}
 
     def test_text_nested_keys(self, capsys):
         assert main(["kmn", "2", "4"]) == 0

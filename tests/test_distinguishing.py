@@ -162,14 +162,6 @@ class TestDprime:
                 if {p.image for p in automorphisms(o)} == base:
                     assert dprime(o).value == dprime(g).value, encode_graph6(g)
 
-    def test_search_from_known_width_gives_same_witness(self):
-        from disorient import enumerate_orientations
-        for n in range(3, 6):
-            for g in connected_graphs(n):
-                for x in [g] + enumerate_orientations(g):
-                    r = dprime(x)
-                    assert dprime(x, min_width=r.value) == r, encode_graph6(g)
-
     def test_dprime_at_most(self):
         g = complete_graph(3)
         assert dprime_at_most(g, 2) is None

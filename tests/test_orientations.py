@@ -357,8 +357,7 @@ class TestCountedTreeSweep:
     def test_counted_index_vs_search(self, o):
         want = dprime(o)
         assert oriented_tree_index(o) == want.value
-        assert oriented_tree_colouring(o, want.value) == \
-            dprime(o, min_width=want.value).witness
+        assert oriented_tree_colouring(o, want.value) == want.witness
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(oriented_trees(), st.data())
