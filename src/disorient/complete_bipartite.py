@@ -38,8 +38,15 @@ class Prediction:
 
 
 def _radix(m: int, n: int) -> int:
-    """Least r >= 2 with r^m >= n, by doubling and then bisection."""
-    low, high = 1, 2
+    """Least r >= 2 with r^m >= n.
+
+    r = 2 exactly when n - 1 < 2^m, which bit lengths tell with no
+    power built.  Otherwise 2^m < n, and r comes by doubling and then
+    bisection.
+    """
+    if (n - 1).bit_length() <= m:
+        return 2
+    low, high = 2, 4
     while high**m < n:
         low, high = high, 2 * high
     while high - low > 1:
@@ -64,6 +71,8 @@ def dprime_kmn(m: int, n: int) -> Prediction:
         raise ValueError("complete bipartite predictions need 2 <= m < n")
     r = _radix(m, n)
     t = _ceil_log(r, m)
+    if r == 2 and (n + t).bit_length() <= m:  # n < 2^m - t, with no power built
+        return Prediction(m, n, r, r)
     pivot = r**m - t
     if n < pivot or (n == pivot and (t == 1 or dprime_kmn(t, m).value <= r)):
         return Prediction(m, n, r, r)

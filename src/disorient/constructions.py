@@ -7,6 +7,11 @@ identical orientations.  Constructions whose correctness rests on a
 claimed invariant verify that invariant at the end and raise
 ConstructionError with a diagnostic rather than return a bad result.
 
+The claw-free construction runs on neighbour bitmasks: a cut vertex is
+one whose removal disconnects the graph (reach), a leaf block is a
+component it leaves with no cut vertex, and each path it needs is a
+path_walk inside a vertex mask, so no induced subgraph is built.
+
 The tree case analysis counts rather than searches.  It hangs the tree
 once from its centre (Graph.hung): the central-edge swap is an equality
 of the two halves' AHU shape codes (HungTree.halves), and the index D
@@ -22,7 +27,7 @@ from math import ceil
 from .distinguishing import Colouring
 from .graphs import (CenterInfo, Graph, Orientation, bipartition,
                      hamiltonian_path, is_claw_free, is_connected,
-                     longest_cycle)
+                     longest_cycle, neighbour_masks, path_walk, reach)
 from .groups import (Permutation, edge_action, is_automorphism, is_twisted,
                      nontrivial_automorphism)
 
@@ -270,88 +275,55 @@ def compatible_orientation(g: Graph, p: Permutation) -> Orientation:
     return o
 
 
-def _blocks(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
-    """Biconnected components (as vertex sets) and cut vertices."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    cut: set[int] = set()
-    comps: list[frozenset[int]] = []
-    counter = 0
-    for s in range(g.n):
-        if disc[s] != -1:
-            continue
-        stack: list[tuple[int, int]] = []
-        work = [(s, iter(sorted(g.adj[s])))]
-        disc[s] = low[s] = counter
-        counter += 1
-        root_children = 0
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    stack.append((v, w))
-                    parent[w] = v
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    if v == s:
-                        root_children += 1
-                    work.append((w, iter(sorted(g.adj[w]))))
-                    advanced = True
-                    break
-                if w != parent[v] and disc[w] < disc[v]:
-                    stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    if u != s or root_children > 1:
-                        cut.add(u)
-                    comp: set[int] = set()
-                    while stack and disc[stack[-1][0]] >= disc[v]:
-                        a, b = stack.pop()
-                        comp |= {a, b}
-                    if stack and stack[-1] == (u, v):
-                        a, b = stack.pop()
-                        comp |= {a, b}
-                    if comp:
-                        comps.append(frozenset(comp))
-        if g.degree(s) == 0:
-            comps.append(frozenset({s}))
-    return comps, cut
+def _members(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def _path_cover_upto2(h: Graph, ids: tuple[int, ...]) -> list[tuple[int, ...]] | None:
-    """At most two vertex-disjoint paths covering h, in original labels.
+def _first_leaf_block(bits: list[int]) -> tuple[list[int], int] | None:
+    """The leaf block with the least member list, and its cut vertex.
+
+    v is a cut vertex when g - v is disconnected.  A component of g - v
+    that holds no cut vertex, together with v, is a block with v as its
+    only cut vertex, and every leaf block arises so from its cut vertex.
+    None when there is no cut vertex.
+    """
+    full = (1 << len(bits)) - 1
+    parts = {}
+    for v in range(len(bits)):
+        rest = full ^ 1 << v
+        comps = []
+        while rest:
+            comp = reach(bits, (rest & -rest).bit_length() - 1, rest)
+            comps.append(comp)
+            rest ^= comp
+        if len(comps) > 1:
+            parts[v] = comps
+    cuts = sum(1 << v for v in parts)
+    return min(((_members(comp | 1 << v), v) for v, comps in parts.items()
+                for comp in comps if not comp & cuts), default=None)
+
+
+def _path_cover_upto2(bits: list[int], within: int) -> list[tuple[int, ...]] | None:
+    """At most two vertex-disjoint paths covering the vertex mask within.
 
     Prefers a single Hamiltonian path, then the first split found with
-    subsets enumerated in a fixed order.  None when no such cover exists.
+    the first path's vertex set running over the proper subsets of
+    within in increasing order.  None when no such cover exists.
     """
-    if h.n == 0:
-        return []
-    whole = hamiltonian_path(h)
-    if whole is not None:
-        return [tuple(ids[v] for v in whole)]
-    for mask in range(1, 1 << h.n):
-        left = [v for v in range(h.n) if mask >> v & 1]
-        right = [v for v in range(h.n) if not mask >> v & 1]
-        if not right:
+    whole = path_walk(bits, within)
+    if len(whole) == within.bit_count():
+        return [whole]
+    left = 0
+    while True:
+        left = (left - within) & within  # the next subset of within
+        if left == within:
+            return None
+        pl = path_walk(bits, left)
+        if len(pl) != left.bit_count():
             continue
-        hl, idl = h.induced(left)
-        pl = hamiltonian_path(hl)
-        if pl is None:
-            continue
-        hr, idr = h.induced(right)
-        pr = hamiltonian_path(hr)
-        if pr is None:
-            continue
-        return [tuple(ids[idl[v]] for v in pl), tuple(ids[idr[v]] for v in pr)]
-    return None
+        pr = path_walk(bits, within ^ left)
+        if len(pr) == (within ^ left).bit_count():
+            return [pl, pr]
 
 
 class _PartialOrientation:
@@ -360,7 +332,7 @@ class _PartialOrientation:
     def __init__(self, g: Graph):
         self.g = g
         self.arc: dict[int, tuple[int, int]] = {}
-        self.out: list[set[int]] = [set() for _ in range(g.n)]
+        self.out = [0] * g.n
 
     def orient(self, t: int, h: int) -> None:
         e = self.g.index_of(t, h)
@@ -370,77 +342,63 @@ class _PartialOrientation:
                     f"edge {self.g.edges[e]} oriented both ways")
             return
         self.arc[e] = (t, h)
-        self.out[t].add(h)
+        self.out[t] |= 1 << h
 
     def oriented(self, u: int, v: int) -> bool:
         return self.g.index_of(u, v) in self.arc
 
     def reaches(self, a: int, b: int) -> bool:
-        seen = {a}
-        stack = [a]
-        while stack:
-            v = stack.pop()
-            if v == b:
-                return True
-            for w in self.out[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
+        return bool(reach(self.out, a) >> b & 1)
 
     def arcs_snapshot(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.arc[e] for e in sorted(self.arc))
 
 
-def _orient_positionally(po: _PartialOrientation, sequence, g: Graph) -> None:
-    """All edges inside the sequence's vertex set run earlier to later."""
-    pos = _positions(sequence)
-    for u in sequence:
-        for w in g.adj[u]:
-            if w in pos and pos[u] < pos[w]:
+def _orient_positionally(po: _PartialOrientation, sequence, bits: list[int]) -> None:
+    """Edges inside the sequence's vertex set not yet oriented run earlier to later."""
+    for i, u in enumerate(sequence):
+        for w in sequence[i + 1:]:
+            if bits[u] >> w & 1 and not po.oriented(u, w):
                 po.orient(u, w)
 
 
-def _expand(g: Graph, po: _PartialOrientation, label: dict[int, int],
-            reached: set[int], processed: set[int], skip: frozenset[int]) -> None:
+def _expand(bits: list[int], po: _PartialOrientation, order: list[int],
+            skip: int) -> None:
     """The reach-and-process recursion shared by both claw-free branches.
 
-    Takes the unprocessed reached vertex with the least label; its
-    neighbours outside the reached set must induce a traceable subgraph,
-    which is oriented positionally along a Hamiltonian path together
-    with the star from the current vertex.  Vertices in skip never get
-    their edges oriented here (the cut-vertex branch keeps one vertex as
+    order lists the reached vertices by label, and each is processed in
+    turn: its neighbours outside the reached set must have a Hamiltonian
+    path, along which they are oriented positionally together with the
+    star from the current vertex, and they join order in path order.
+    Vertices in the mask skip are not processed (the cut-vertex branch
+    has oriented its cut vertex's star already, and keeps one vertex as
     a future source).
     """
-    while reached != processed:
-        v = min(reached - processed, key=lambda x: label[x])
-        fresh = sorted(set(g.adj[v]) - reached)
-        processed.add(v)
-        if not fresh or v in skip:
+    reached = sum(1 << v for v in order)
+    for v in order:
+        fresh = bits[v] & ~reached
+        if not fresh or skip >> v & 1:
             continue
-        sub, ids = g.induced(fresh)
-        local = hamiltonian_path(sub)
-        if local is None:
+        ordered = path_walk(bits, fresh)
+        if len(ordered) != fresh.bit_count():
             raise ConstructionError(
-                f"expansion at vertex {v} hit a non-traceable neighbour set {fresh}")
-        ordered = tuple(ids[w] for w in local)
+                f"expansion at vertex {v} hit a non-traceable neighbour set "
+                f"{_members(fresh)}")
         for w in ordered:
             po.orient(v, w)
-        _orient_positionally(po, ordered, g)
-        base = max(label.values())
-        for off, w in enumerate(ordered, start=1):
-            label[w] = base + off
-        reached.update(ordered)
+        _orient_positionally(po, ordered, bits)
+        order.extend(ordered)
+        reached |= fresh
 
 
-def _finish_leftovers(g: Graph, po: _PartialOrientation, skip: frozenset[int]) -> None:
+def _finish_leftovers(g: Graph, po: _PartialOrientation, skip: int) -> None:
     """Direct remaining edges in canonical order without closing a cycle.
 
     Prefers the low-to-high direction, reversing when that would create
-    a directed cycle; edges at skipped vertices are left alone.
+    a directed cycle; edges at vertices of the mask skip are left alone.
     """
     for u, v in g.edges:
-        if u in skip or v in skip or po.oriented(u, v):
+        if (skip >> u | skip >> v) & 1 or po.oriented(u, v):
             continue
         if not po.reaches(v, u):
             po.orient(u, v)
@@ -467,11 +425,12 @@ def clawfree_rigid_orientation_trace(g: Graph) -> ClawfreeTrace:
     if g.n < 6:
         raise ValueError("construction requires at least six vertices")
 
-    comps, cuts = _blocks(g)
-    if not cuts:
-        trace = _clawfree_two_connected(g)
+    bits = neighbour_masks(g)
+    leaf = _first_leaf_block(bits)
+    if leaf is None:
+        trace = _clawfree_two_connected(g, bits)
     else:
-        trace = _clawfree_cut_vertex(g, comps, cuts)
+        trace = _clawfree_cut_vertex(g, bits, *leaf)
     witness = nontrivial_automorphism(trace.result)
     if witness is not None:
         raise ConstructionError(
@@ -483,15 +442,15 @@ def clawfree_rigid_orientation(g: Graph) -> Orientation:
     return clawfree_rigid_orientation_trace(g).result
 
 
-def _clawfree_two_connected(g: Graph) -> ClawfreeTrace:
+def _clawfree_two_connected(g: Graph, bits: list[int]) -> ClawfreeTrace:
     cycle = longest_cycle(g)
     assert cycle is not None
     if len(cycle) == g.n:
         o = hamiltonian_orientation(g)
         return ClawfreeTrace(o, "hamiltonian")
 
-    on_cycle = set(cycle)
-    candidates = [v for v in cycle if set(g.adj[v]) <= on_cycle]
+    on_cycle = sum(1 << v for v in cycle)
+    candidates = [v for v in cycle if not bits[v] & ~on_cycle]
     if not candidates:
         raise ConstructionError(
             "no cycle vertex has its whole neighbourhood on the longest cycle")
@@ -504,58 +463,38 @@ def _clawfree_two_connected(g: Graph) -> ClawfreeTrace:
         order = (cycle[at:at + 1] + tuple(reversed(cycle[:at]))
                  + tuple(reversed(cycle[at + 1:])))
 
+    # the closing arc first: every other edge among the cycle's vertices,
+    # on the cycle or a chord, runs forward along order
     po = _PartialOrientation(g)
-    label = {v: i + 1 for i, v in enumerate(order)}
-    for a, b in zip(order, order[1:] + order[:1]):
-        po.orient(a, b)
-    for u in order:
-        for w in g.adj[u]:
-            if w in on_cycle and not po.oriented(u, w) and label[u] < label[w]:
-                po.orient(u, w)
-
-    reached = set(order)
-    processed: set[int] = set()
-    _expand(g, po, label, reached, processed, skip=frozenset())
+    po.orient(order[-1], order[0])
+    _orient_positionally(po, order, bits)
+    _expand(bits, po, list(order), skip=0)
     checkpoint = po.arcs_snapshot()
-    _finish_leftovers(g, po, skip=frozenset())
+    _finish_leftovers(g, po, skip=0)
     o = Orientation.from_arcs(g, [po.arc[e] for e in range(g.m)])
     return ClawfreeTrace(o, "cycle", cycle=order, checkpoint_arcs=checkpoint)
 
 
-def _clawfree_cut_vertex(g: Graph, comps, cuts) -> ClawfreeTrace:
-    leaf_blocks = sorted((c for c in comps if len(c & cuts) == 1),
-                         key=lambda c: sorted(c))
-    if not leaf_blocks:
-        raise ConstructionError("cut vertices present but no leaf block found")
-    block = leaf_blocks[0]
-    (v,) = block & cuts
-    u = min(w for w in g.adj[v] if w in block)
-
-    others = sorted(set(g.adj[v]) - {u})
-    sub, ids = g.induced(others)
-    cover = _path_cover_upto2(sub, ids)
+def _clawfree_cut_vertex(g: Graph, bits: list[int], block: list[int],
+                         v: int) -> ClawfreeTrace:
+    u = min(w for w in block if bits[v] >> w & 1)
+    others = bits[v] & ~(1 << u)
+    cover = _path_cover_upto2(bits, others)
     if cover is None:
         raise ConstructionError(
-            f"neighbourhood {others} of cut vertex {v} has no cover by two paths")
+            f"neighbourhood {_members(others)} of cut vertex {v} "
+            "has no cover by two paths")
 
     po = _PartialOrientation(g)
-    for w in others:
+    for w in _members(others):
         po.orient(v, w)
     for path in cover:
-        _orient_positionally(po, path, g)
+        _orient_positionally(po, path, bits)
 
-    label = {v: 1}
-    nxt = 2
-    for path in cover:
-        for w in path:
-            label[w] = nxt
-            nxt += 1
-    label[u] = nxt
-    reached = set(label)
-    processed = {v}
-    _expand(g, po, label, reached, processed, skip=frozenset({u}))
+    order = [v, *(w for path in cover for w in path), u]
+    _expand(bits, po, order, skip=1 << v | 1 << u)
     checkpoint = po.arcs_snapshot()
-    _finish_leftovers(g, po, skip=frozenset({u}))
+    _finish_leftovers(g, po, skip=1 << u)
     for w in sorted(g.adj[u]):
         if not po.oriented(u, w):
             po.orient(u, w)

@@ -3,13 +3,21 @@
 Vertices are 0..n-1.  Edges are stored as (u, v) pairs with u < v in
 lexicographic order; the position of an edge in that order is its canonical
 index, used everywhere else (colour assignments, direction vectors).
+
+Structure is read off neighbour bitmasks (neighbour_masks) by four
+primitives, which the structure probes, the claw-free construction and
+corpus growth share: reach (a breadth-first search inside a vertex
+mask), path_walk (the least longest path inside a vertex mask), cycles
+(every simple cycle, in lexicographic order) and has_independent_triple
+(the claw test).  None fills Graph.adj.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import islice
+from typing import Iterator
 from math import comb, isqrt
 
 
@@ -142,13 +150,6 @@ class Orientation:
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) if f else (v, u)
                      for (u, v), f in zip(self.base.edges, self.forward))
-
-    @cached_property
-    def out_adj(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in range(self.base.n)]
-        for t, h in self.arcs:
-            out[t].add(h)
-        return tuple(frozenset(s) for s in out)
 
     def relabel(self, image) -> Orientation:
         new_base = self.base.relabel(image)
@@ -344,17 +345,27 @@ def neighbour_masks(g: Graph) -> list[int]:
     return bits
 
 
-def is_connected(g: Graph) -> bool:
-    """Breadth-first search on neighbour bitmasks; fills no cache on g."""
-    bits = neighbour_masks(g)
-    reach = frontier = 1
+def reach(bits: list[int], start: int, within: int = -1) -> int:
+    """Vertices reached from start through the vertex mask within, as a mask.
+
+    One breadth-first search on bitmasks: bits[v] holds v's neighbours,
+    or its out-neighbours for a directed walk.  start itself is always
+    reached; every other vertex reached lies in within, which holds
+    every vertex by default.
+    """
+    seen = frontier = 1 << start
     while frontier:
         low = frontier & -frontier
         frontier ^= low
-        fresh = bits[low.bit_length() - 1] & ~reach
-        reach |= fresh
+        fresh = bits[low.bit_length() - 1] & within & ~seen
+        seen |= fresh
         frontier |= fresh
-    return reach == (1 << g.n) - 1
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """One reach from vertex 0 on neighbour bitmasks; fills no cache on g."""
+    return reach(neighbour_masks(g), 0) == (1 << g.n) - 1
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -386,28 +397,49 @@ def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1 and is_connected(g)
 
 
-def is_claw_free(g: Graph) -> bool:
-    """True when no vertex has three pairwise non-adjacent neighbours."""
-    for v in range(g.n):
-        nbrs = sorted(g.adj[v])
-        for a, b, c in combinations(nbrs, 3):
-            if b not in g.adj[a] and c not in g.adj[a] and c not in g.adj[b]:
-                return False
-    return True
+def has_independent_triple(bits: list[int], mask: int) -> bool:
+    """Whether the vertex mask holds three pairwise non-adjacent vertices.
 
-
-def _path_walk(bits: list[int]) -> tuple[int, ...]:
-    """Lexicographically least longest path on neighbour bitmasks.
-
-    One iterative depth-first walk over every simple path, starts and
-    then each next vertex in ascending order, so paths come in
-    lexicographic order and the first one longer than all before it is
-    the least of its length.  A path through every vertex ends the walk.
+    bits[v] is v's neighbour bitmask.  For each vertex a of mask, the
+    later vertices of mask not adjacent to a are tested pairwise.
     """
-    n = len(bits)
-    best = (0,)
+    while mask:
+        a = mask & -mask
+        mask ^= a
+        apart = mask & ~bits[a.bit_length() - 1]
+        while apart:
+            b = apart & -apart
+            apart ^= b
+            if apart & ~bits[b.bit_length() - 1]:
+                return True
+    return False
+
+
+def is_claw_free(g: Graph) -> bool:
+    """True when no vertex has three pairwise non-adjacent neighbours.
+
+    Fills no cache on g.
+    """
+    bits = neighbour_masks(g)
+    return not any(has_independent_triple(bits, b) for b in bits)
+
+
+def path_walk(bits: list[int], within: int) -> tuple[int, ...]:
+    """Lexicographically least longest path inside a non-empty vertex mask.
+
+    bits[v] is v's neighbour bitmask.  One iterative depth-first walk
+    over every simple path inside within, starts and then each next
+    vertex in ascending order, so paths come in lexicographic order and
+    the first one longer than all before it is the least of its length.
+    A path through every vertex of within ends the walk.
+    """
+    bits = [b & within for b in bits]
+    size = within.bit_count()
+    best = ((within & -within).bit_length() - 1,)
     longest = 1
-    for s in range(n):
+    for s in range(best[0], len(bits)):
+        if not within >> s & 1:
+            continue
         path = [s]
         seen = 1 << s
         todo = [bits[s]]
@@ -424,7 +456,7 @@ def _path_walk(bits: list[int]) -> tuple[int, ...]:
                 if depth > longest:
                     best = tuple(path)
                     longest = depth
-                    if depth == n:
+                    if depth == size:
                         return best
                 todo.append(bits[w])
             else:
@@ -440,7 +472,7 @@ def longest_path(g: Graph) -> tuple[int, ...]:
     When g is traceable this is hamiltonian_path(g), found by the same
     walk, which stops at the first path through every vertex.
     """
-    return _path_walk(neighbour_masks(g))
+    return path_walk(neighbour_masks(g), (1 << g.n) - 1)
 
 
 def hamiltonian_path(g: Graph) -> tuple[int, ...] | None:
@@ -455,41 +487,56 @@ def hamiltonian_path(g: Graph) -> tuple[int, ...] | None:
     bits = neighbour_masks(g)
     if sum(b & (b - 1) == 0 for b in bits) >= 3:
         return None
-    path = _path_walk(bits)
+    path = path_walk(bits, (1 << g.n) - 1)
     return path if len(path) == g.n else None
+
+
+def cycles(out: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every simple cycle of three or more vertices, in lexicographic order.
+
+    out[v] is the bitmask of v's out-neighbours; for neighbour bitmasks
+    each cycle comes once in each direction.  A cycle is written from
+    its least vertex.  One depth-first walk from each start, through
+    later vertices in ascending order, yields a path as a cycle when its
+    last vertex has an arc back to the start, before extending it.
+    """
+    for s in range(len(out)):
+        later = -2 << s
+        path = [s]
+        seen = 1 << s
+        todo = [out[s] & later]
+        while todo:
+            cand = todo[-1] & ~seen
+            if cand:
+                low = cand & -cand
+                todo[-1] = cand ^ low
+                w = low.bit_length() - 1
+                path.append(w)
+                seen |= low
+                if len(path) > 2 and out[w] >> s & 1:
+                    yield tuple(path)
+                todo.append(out[w] & later)
+            else:
+                todo.pop()
+                seen ^= 1 << path.pop()
 
 
 def longest_cycle(g: Graph) -> tuple[int, ...] | None:
     """Lexicographically least cycle of maximum length, or None.
 
-    A cycle is written starting from its least vertex; both traversal
-    directions are explored, so the least sequence wins.
+    The first longest of cycles(), which come in lexicographic order,
+    both traversal directions included.  A cycle from start s has at
+    most n - s vertices, so the walk stops once none can be longer.
+    Fills no cache on g.
     """
-    n = g.n
-    order = [sorted(g.adj[v]) for v in range(n)]
-    path: list[int] = []
-
-    def extend(s: int, v: int, visited: int, want: int) -> tuple[int, ...] | None:
-        path.append(v)
-        if len(path) == want:
-            if s in g.adj[v]:
-                return tuple(path)
-            path.pop()
-            return None
-        for w in order[v]:
-            if w > s and not visited >> w & 1:
-                found = extend(s, w, visited | 1 << w, want)
-                if found:
-                    return found
-        path.pop()
-        return None
-
-    for want in range(n, 2, -1):
-        for s in range(n - want + 1):
-            found = extend(s, s, 1 << s, want)
-            if found:
-                return found
-    return None
+    best = None
+    longest = 2
+    for cycle in cycles(neighbour_masks(g)):
+        if len(cycle) > longest:
+            best, longest = cycle, len(cycle)
+        if longest >= g.n - cycle[0]:
+            break
+    return best
 
 
 def analyze(g: Graph) -> StructureReport:

@@ -47,7 +47,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graphs import (Graph, bipartition, encode_graph6, hang_centre,
-                     is_claw_free, neighbour_masks)
+                     has_independent_triple, is_claw_free, neighbour_masks,
+                     reach)
 from .groups import orbit_minima
 from .search import canonical_form, graph_codes, strong_generators
 
@@ -97,11 +98,11 @@ def _extends_clawfree(bits: list[int], mask: int) -> bool:
     mask as leaves, or as a leaf, when a vertex of mask has two
     non-adjacent neighbours outside mask.
     """
-    nbrs = [v for v in range(len(bits)) if mask >> v & 1]
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if not bits[a] >> b & 1 and (mask & ~bits[a] & ~bits[b]) >> b > 1:
-                return False
+    if has_independent_triple(bits, mask):
+        return False
+    for a in range(len(bits)):
+        if not mask >> a & 1:
+            continue
         rest = bits[a] & ~mask
         while rest:
             low = rest & -rest
@@ -124,14 +125,7 @@ def _earlier_parent(bits: list[int]) -> bool:
         if bits[v].bit_count() <= k:
             continue
         rest = ((1 << len(bits)) - 1) ^ (1 << v)
-        reach = frontier = 1 << last
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            fresh = bits[low.bit_length() - 1] & rest & ~reach
-            reach |= fresh
-            frontier |= fresh
-        if reach == rest:
+        if reach(bits, last, rest) == rest:
             return True
     return False
 

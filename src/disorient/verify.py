@@ -52,7 +52,7 @@ from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
                             compatible_orientation, hamiltonian_orientation,
                             tree_od_values)
 from .distinguishing import Colouring, dprime, is_distinguishing
-from .graphs import (FormatError, Graph, Orientation, bipartition,
+from .graphs import (FormatError, Graph, Orientation, bipartition, cycles,
                      encode_digraph6, encode_graph6, hamiltonian_path,
                      is_claw_free, is_connected, longest_path,
                      neighbour_masks, parse)
@@ -345,26 +345,6 @@ def _check_thm9(g: Graph, cap: int):
     return _PASS
 
 
-def _directed_cycles(n: int, arcs) -> set[tuple[int, ...]]:
-    """All simple directed cycles, each rotated to start at its least vertex."""
-    out: dict[int, list[int]] = {}
-    for t, h in arcs:
-        out.setdefault(t, []).append(h)
-    cycles: set[tuple[int, ...]] = set()
-
-    def walk(start: int, v: int, path: tuple[int, ...],
-             visited: frozenset[int]) -> None:
-        for w in sorted(out.get(v, ())):
-            if w == start and len(path) > 1:
-                cycles.add(path)
-            elif w > start and w not in visited:
-                walk(start, w, path + (w,), visited | {w})
-
-    for s in range(n):
-        walk(s, s, (s,), frozenset({s}))
-    return cycles
-
-
 def _rotate_to_least(cycle) -> tuple[int, ...]:
     k = cycle.index(min(cycle))
     return tuple(cycle[k:]) + tuple(cycle[:k])
@@ -392,12 +372,15 @@ def _check_thm12(g: Graph, cap: int):
         seeded = _rotate_to_least(trace.cycle)
         on_cycle = set(trace.cycle)
         for arcs in (trace.checkpoint_arcs, trace.result.arcs):
-            cycles = _directed_cycles(g.n, arcs)
-            stray = [c for c in cycles if not set(c) <= on_cycle]
+            out = [0] * g.n
+            for t, h in arcs:
+                out[t] |= 1 << h
+            found = set(cycles(out))
+            stray = [c for c in found if not set(c) <= on_cycle]
             if stray:
                 return _viol("directed cycles confined to the seeded cycle",
                              f"cycle through {stray[0]}")
-            full = [c for c in cycles if len(c) == len(seeded)]
+            full = [c for c in found if len(c) == len(seeded)]
             if full != [seeded]:
                 return _viol(
                     f"one directed cycle of length {len(seeded)}, the seeded one",
@@ -497,10 +480,9 @@ def verify_theorem(corpus: Corpus, theorem_id: str, *,
 
 
 # The last cache file read: its resolved path -> ((st_ino, st_size,
-# st_mtime_ns) or None while it does not exist, {g6: (dprime, od_minus,
-# od_plus)}).  One entry, so a long-lived process holds one file's rows.
+# st_mtime_ns) or None while it does not exist, {g6: (dprime,
+# od_minus)}).  One entry, so a long-lived process holds one file's rows.
 _CACHE_MEMO: dict[Path, tuple[tuple[int, int, int] | None, dict[str, tuple]]] = {}
-_NO_ROW = (None, None, None)
 
 
 def _stamp(p: Path) -> tuple[int, int, int] | None:
@@ -512,7 +494,7 @@ def _stamp(p: Path) -> tuple[int, int, int] | None:
 
 
 def _load_cache(path) -> dict[str, tuple]:
-    """(dprime, od_minus, od_plus) by graph6 key, read once per file state.
+    """(dprime, od_minus) by graph6 key, read once per file state.
 
     The rows of the last file read are kept under its resolved path and
     read again only when the file's inode, size or mtime has changed
@@ -530,8 +512,7 @@ def _load_cache(path) -> dict[str, tuple]:
             continue
         try:
             row = json.loads(line)
-            rows[row["g6"]] = (row.get("dprime"), row.get("od_minus"),
-                               row.get("od_plus"))
+            rows[row["g6"]] = row.get("dprime"), row.get("od_minus")
         except (json.JSONDecodeError, TypeError, KeyError, AttributeError):
             warnings.warn(f"cache {p}: skipping corrupt line {i}")
     _CACHE_MEMO.clear()
@@ -552,7 +533,7 @@ def _append_cache(path, rows) -> None:
     if current:
         known = memo[1]
         for row in rows:
-            known[row["g6"]] = (row["dprime"], row["od_minus"], row["od_plus"])
+            known[row["g6"]] = row["dprime"], row["od_minus"]
         _CACHE_MEMO[p] = _stamp(p), known
 
 
@@ -763,7 +744,7 @@ def scan_conjectures(corpus: Corpus, which="both", *,
 
     canons = ([encode_graph6(g) for g in corpus.entries] if cache_path
               else [None] * len(corpus))
-    tasks = [(g, which, edge_cap, *cache.get(canon, _NO_ROW)[:2])
+    tasks = [(g, which, edge_cap, *cache.get(canon, (None, None)))
              for g, canon in zip(corpus.entries, canons)]
     outs = _run_tasks(_scan_worker, tasks, jobs)
 
@@ -772,16 +753,14 @@ def scan_conjectures(corpus: Corpus, which="both", *,
         fresh = []
         written = set()
         for canon, out in zip(canons, outs):
-            old = cache.get(canon, _NO_ROW)
             if canon in written:
                 continue
-            if (out["dprime"], out["od_minus"]) == old[:2]:
+            if (out["dprime"], out["od_minus"]) == cache.get(canon):
                 continue
             if out["dprime"] is None and out["od_minus"] is None:
                 continue
             fresh.append({"g6": canon, "dprime": out["dprime"],
-                          "od_minus": out["od_minus"], "od_plus": old[2],
-                          "timestamp": stamp})
+                          "od_minus": out["od_minus"], "timestamp": stamp})
             written.add(canon)
         _append_cache(cache_path, fresh)
 

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from disorient import (
+    Prediction,
     as_complete_bipartite,
     complete_bipartite_graph,
     complete_graph,
@@ -70,6 +71,11 @@ class TestDprimeKmn:
         assert p.r == 31_622_777
         q = dprime_kmn(3, 10**18)
         assert (q.r, q.value) == (10**6, 10**6 + 1)
+
+    def test_radix_two_builds_no_power(self):
+        # bit lengths settle r = 2 and n below the pivot; 2^m at this m
+        # would take 125 MB, twice
+        assert dprime_kmn(10**9, 10**9 + 1) == Prediction(10**9, 10**9 + 1, 2, 2)
 
     def test_domain(self):
         for m, n in [(1, 3), (3, 3), (4, 2)]:

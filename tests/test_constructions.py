@@ -22,6 +22,7 @@ from disorient import (
     RootedTree,
     automorphism_generators,
     automorphisms,
+    clawfree_graphs,
     clawfree_rigid_orientation,
     clawfree_rigid_orientation_trace,
     compatible_orientation,
@@ -42,6 +43,7 @@ from disorient import (
     merge_colouring,
     natural_bipartition,
     od_extremes,
+    parse,
     path_graph,
     rooted_index,
     split_colouring,
@@ -51,6 +53,7 @@ from disorient import (
     trees,
 )
 from disorient import constructions
+from disorient.graphs import cycles
 
 
 def _images(x):
@@ -334,6 +337,57 @@ class TestClawfree:
         assert tr.source is not None
         assert all(h != tr.source for _, h in tr.result.arcs)
         assert is_rigid(tr.result)
+
+
+    def test_traces_pinned(self):
+        # SHA-256 of (graph6, branch, arcs, cycle, checkpoint arcs, source)
+        # of every trace over the claw-free corpora on 6 to 8 vertices, in
+        # corpus order
+        lines = []
+        for n in (6, 7, 8):
+            for g in clawfree_graphs(n):
+                tr = clawfree_rigid_orientation_trace(g)
+                lines.append(repr((encode_graph6(g), tr.branch, tr.result.arcs,
+                                   tr.cycle, tr.checkpoint_arcs, tr.source)))
+        assert len(lines) == 1122
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "6ceda236d9c65543cc536a048b182d2d25bc131c475bccfca3990eb60355c957"
+
+    # the corpus graphs on nine vertices that reach the cycle branch and
+    # succeed: the seeded cycle, the arcs at the checkpoint, and the arcs
+    # the leftover phase adds
+    @pytest.mark.parametrize("g6, cycle, checkpoint, leftover", [
+        ("HqGOPXY", (0, 1, 3, 8, 6, 4, 7, 2),
+         ((0, 1), (2, 0), (1, 3), (1, 8), (4, 2), (7, 2), (3, 5), (3, 8),
+          (6, 4), (4, 7), (8, 4), (8, 6)), {(7, 5)}),
+        ("HqGOPxY", (0, 1, 3, 8, 6, 4, 7, 2),
+         ((0, 1), (2, 0), (1, 3), (1, 8), (4, 2), (7, 2), (3, 5), (3, 7),
+          (3, 8), (6, 4), (4, 7), (8, 4), (8, 6)), {(7, 5)}),
+        ("HqGUBqs", (2, 0, 8, 5, 3, 1, 7, 4),
+         ((0, 1), (2, 0), (0, 6), (0, 8), (3, 1), (1, 7), (4, 2), (2, 7),
+          (2, 8), (5, 3), (3, 7), (8, 3), (7, 4), (8, 5)), {(1, 6)}),
+    ])
+    def test_cycle_branch_at_nine_pinned(self, g6, cycle, checkpoint, leftover):
+        tr = clawfree_rigid_orientation_trace(parse("graph6", g6))
+        assert (tr.branch, tr.cycle, tr.checkpoint_arcs, tr.source) == \
+            ("cycle", cycle, checkpoint, None)
+        assert set(tr.result.arcs) == set(checkpoint) | leftover
+
+
+class TestDirectedCycles:
+    def test_cycles_match_reference(self):
+        # every orientation of every connected graph on 3 to 5 vertices:
+        # the same cycles as the reference walk, once each, in
+        # lexicographic order
+        for n in range(3, 6):
+            for g in connected_graphs(n):
+                for vec in range(1 << g.m):
+                    o = Orientation.from_vector(g, vec)
+                    out = [0] * n
+                    for t, h in o.arcs:
+                        out[t] |= 1 << h
+                    assert list(cycles(out)) == sorted(_directed_cycles(o.arcs)), \
+                        (encode_graph6(g), vec)
 
 
 class TestTreeCase:
