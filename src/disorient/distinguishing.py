@@ -46,7 +46,7 @@ from typing import Iterator
 from .graphs import (Graph, HungTree, Orientation, ShapeTable, hang,
                      is_connected, is_tree)
 from .groups import Permutation, edge_action, is_automorphism
-from .search import code_rows, codes_for, equitable_labels, nontrivial_map
+from .search import code_rows, equitable_labels, nontrivial_map
 
 _BREAKER_CACHE_LIMIT = 64
 
@@ -113,7 +113,7 @@ def colour_preserving_automorphism(
         x: Graph | Orientation, colouring: Colouring) -> Permutation | None:
     """Least non-identity automorphism preserving the colouring, if any."""
     _coloured_base(x, colouring)
-    img = nontrivial_map(codes_for(x, colours=colouring.assignment))
+    img = nontrivial_map(code_rows(x, colouring.assignment))
     return None if img is None else Permutation(img)
 
 
@@ -337,8 +337,9 @@ def _dprime_search(x: Graph | Orientation, *,
     m = g.m
     if m == 0:
         return DprimeResult(1, Colouring(1, ()))
-    plain = equitable_labels(code_rows(x))
-    breaker = nontrivial_map(codes_for(x), plain)
+    rows = code_rows(x)
+    plain = equitable_labels(rows)
+    breaker = nontrivial_map(rows, plain)
     if breaker is None:
         return DprimeResult(1, Colouring.constant(m))
 
@@ -359,9 +360,8 @@ def _dprime_search(x: Graph | Orientation, *,
                         cache.insert(0, cache.pop(pos))
                     break
             else:
-                img = nontrivial_map(
-                    codes_for(x, colours=assignment),
-                    equitable_labels(code_rows(x, assignment), plain))
+                rows = code_rows(x, assignment)
+                img = nontrivial_map(rows, equitable_labels(rows, plain))
                 if img is None:
                     return DprimeResult(k, Colouring(k, assignment))
                 if len(admitted) < _BREAKER_CACHE_LIMIT:

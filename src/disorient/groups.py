@@ -16,7 +16,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .graphs import Graph, HungTree, Orientation, neighbour_masks
-from .search import codes_for, find_maps, nontrivial_map, strong_generators
+from .search import code_rows, find_maps, nontrivial_map, strong_generators
 
 POINTWISE = "pointwise"
 SETWISE_ONLY = "setwise_only"
@@ -93,13 +93,13 @@ class Permutation:
 
 def automorphisms(x: Graph | Orientation) -> Iterator[Permutation]:
     """Automorphisms in lexicographic image order, the identity first."""
-    for img in find_maps(codes_for(x)):
+    for img in find_maps(code_rows(x)):
         yield Permutation(img)
 
 
 def automorphism_generators(x: Graph | Orientation) -> tuple[tuple[Permutation, ...], int]:
     """A strong generating set of the automorphism group, and its order."""
-    images, order = strong_generators(codes_for(x))
+    images, order = strong_generators(code_rows(x))
     return tuple(Permutation(img) for img in images), order
 
 
@@ -158,7 +158,7 @@ def tree_automorphism_generators(
 
 def nontrivial_automorphism(x: Graph | Orientation) -> Permutation | None:
     """Least non-identity automorphism, or None for a rigid structure."""
-    img = nontrivial_map(codes_for(x))
+    img = nontrivial_map(code_rows(x))
     return None if img is None else Permutation(img)
 
 

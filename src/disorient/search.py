@@ -2,25 +2,27 @@
 
 One engine serves automorphism enumeration, rigidity tests and
 stabiliser checks for coloured structures.  Adjacency, arc direction and
-colour are folded into one small integer per ordered vertex pair (an
-n-by-n code matrix); a symmetry phi must satisfy
-codes[phi(u)][phi(v)] == codes[u][v] for all pairs.
+colour are folded into one small nonzero integer per adjacent ordered
+vertex pair, and every search takes the code rows that code_rows builds
+from the edges or arcs: each vertex's (neighbour, code) pairs, code 0
+standing for every pair not listed.  A symmetry phi must carry each
+pair (u, v) with code c onto a pair (phi(u), phi(v)) with the same code.
 
 Candidate images are pruned by iterated neighbourhood-multiset refinement
-over sparse rows: each vertex keeps only its nonzero (neighbour, code)
-pairs, so a round costs the number of arcs rather than n squared.
-code_rows builds those rows straight from the edges or arcs.  The
-refinement labels a vertex by the rank of its signature among the sorted
-distinct ones, not by first appearance, so the labels do not depend on
-vertex numbering.  It is a pure filter for find_maps: correctness never
-depends on it.  The labels come from the caller when it has them:
-strong_generators refines its matrix once for all its searches, and the
-index search refines each candidate colouring from the uncoloured
-labels.  Maps are yielded in lexicographic order of their image tuple,
-so the identity is always the first symmetry produced.
+over the rows, so a round costs the number of arcs rather than n
+squared.  The refinement labels a vertex by the rank of its signature
+among the sorted distinct ones, not by first appearance, so the labels
+do not depend on vertex numbering.  It is a pure filter for find_maps:
+correctness never depends on it.  The labels come from the caller when
+it has them: strong_generators refines its rows once for all its
+searches, and the index search refines each candidate colouring from
+the uncoloured labels.  find_maps alone builds an n-by-n lookup of the
+codes, for the pair tests of its backtracking.  Maps are yielded in
+lexicographic order of their image tuple, so the identity is always the
+first symmetry produced.
 
-canonical_form gives a value that two code matrices share exactly when
-one relabels the other, by individualisation-refinement (McKay and
+canonical_form gives a value that two sets of code rows share exactly
+when one relabels the other, by individualisation-refinement (McKay and
 Piperno, Practical graph isomorphism II, 2014), with the same
 refinement.  The search individualises each vertex of the smallest
 non-singleton cell in turn, takes the least certificate over the leaves,
@@ -35,37 +37,11 @@ from typing import Iterator
 from .graphs import Graph, Orientation
 
 
-def graph_codes(g: Graph, colours=None) -> list[list[int]]:
-    n = g.n
-    mat = [[0] * n for _ in range(n)]
-    for i, (u, v) in enumerate(g.edges):
-        c = 1 if colours is None else colours[i]
-        mat[u][v] = c
-        mat[v][u] = c
-    return mat
-
-
-def orientation_codes(o: Orientation, colours=None) -> list[list[int]]:
-    # Reverse direction is marked by the negated colour code.
-    n = o.base.n
-    mat = [[0] * n for _ in range(n)]
-    for i, (t, h) in enumerate(o.arcs):
-        c = 1 if colours is None else colours[i]
-        mat[t][h] = c
-        mat[h][t] = -c
-    return mat
-
-
-def codes_for(x: Graph | Orientation, colours=None) -> list[list[int]]:
-    if isinstance(x, Orientation):
-        return orientation_codes(x, colours)
-    return graph_codes(x, colours)
-
-
 def code_rows(x: Graph | Orientation, colours=None) -> list[list[tuple[int, int]]]:
-    """Each vertex's nonzero (neighbour, code) pairs of codes_for(x, colours).
+    """Each vertex's (neighbour, code) pairs, in edge or arc order.
 
-    Built straight from the edges or arcs, with no matrix.
+    Edge i carries code colours[i], or 1 without colours, at both ends;
+    an arc carries it at its tail and the negated code at its head.
     """
     if isinstance(x, Orientation):
         n, pairs, back = x.base.n, x.arcs, -1
@@ -79,14 +55,8 @@ def code_rows(x: Graph | Orientation, colours=None) -> list[list[tuple[int, int]
     return rows
 
 
-def _sparse_rows(codes: list[list[int]]) -> list[list[tuple[int, int]]]:
-    """Each vertex's nonzero (neighbour, code) pairs."""
-    return [[(u, c) for u, c in enumerate(row) if c and u != v]
-            for v, row in enumerate(codes)]
-
-
 def equitable_labels(rows, start=None) -> tuple[int, ...]:
-    """Equitable labels of sparse code rows, refined from start.
+    """Equitable labels of code rows, refined from start.
 
     start labels the vertices 0..k-1, each label used; by default it is
     the unit partition.  The result has the cells of the coarsest
@@ -104,20 +74,31 @@ def equitable_labels(rows, start=None) -> tuple[int, ...]:
     return tuple(_equitable(rows, label, classes, width)[0])
 
 
-def find_maps(codes: list[list[int]], labels=None, *,
-              fixed=()) -> Iterator[tuple[int, ...]]:
-    """Yield every bijection phi with codes[phi(u)][phi(v)] == codes[u][v].
+def _lookup(rows) -> list[list[int]]:
+    """The n-by-n codes of the rows, 0 where two vertices are not adjacent."""
+    codes = [[0] * len(rows) for _ in rows]
+    for row, out in zip(rows, codes):
+        for u, c in row:
+            out[u] = c
+    return codes
 
-    labels are the matrix's equitable labels, as equitable_labels gives
-    them, from a caller that has them; otherwise the matrix is refined
-    here.  fixed is a sequence of (v, w) pairs pinning phi(v) = w.  Maps
-    come out in lexicographic order of the image tuple.  codes must be
-    symmetric (graphs) or antisymmetric (orientations) off the diagonal,
-    as every matrix built here is; then a matching row entry implies the
-    matching column entry, so only rows are compared.
+
+def find_maps(rows, labels=None, *, fixed=()) -> Iterator[tuple[int, ...]]:
+    """Yield every bijection phi that keeps the code of every vertex pair.
+
+    rows are code rows, as code_rows builds them; a pair not listed has
+    code 0.  labels are the rows' equitable labels, as equitable_labels
+    gives them, from a caller that has them; otherwise the rows are
+    refined here.  fixed is a sequence of (v, w) pairs pinning
+    phi(v) = w.  Maps come out in lexicographic order of the image
+    tuple.  Each edge or arc must be listed at both of its ends, with
+    the same code or its negation, as code_rows lists it; then a pair
+    whose code matches implies the reversed pair's does, so each new
+    vertex is tested only against the vertices placed before it.
     """
-    n = len(codes)
-    label = equitable_labels(_sparse_rows(codes)) if labels is None else labels
+    n = len(rows)
+    label = equitable_labels(rows) if labels is None else labels
+    codes = _lookup(rows)
     cell: dict[int, list[int]] = {}
     for w in range(n):
         cell.setdefault(label[w], []).append(w)
@@ -165,18 +146,18 @@ def _orbit(point: int, gens) -> list[int]:
     return orbit
 
 
-def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Strong generating set of the symmetries of a code matrix, and their number.
+def strong_generators(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Strong generating set of the symmetries of code rows, and their number.
 
     Base 0..n-1, levels filled from the deepest up: the generators found
     before level i generate the stabiliser of 0..i, and each point w of
     the orbit of i that they do not yet reach adds the first map pinning
     0..i-1 and sending i to w (Schreier-Sims transversals).  The order
-    is the product of the orbit lengths.  The matrix is refined once,
-    and every search below reuses its labels.
+    is the product of the orbit lengths.  The rows are refined once,
+    and every search below reuses their labels.
     """
-    n = len(codes)
-    label = equitable_labels(_sparse_rows(codes))
+    n = len(rows)
+    label = equitable_labels(rows)
     gens: list[tuple[int, ...]] = []
     order = 1
     for i in range(n - 1, -1, -1):
@@ -185,7 +166,7 @@ def strong_generators(codes: list[list[int]]) -> tuple[tuple[tuple[int, ...], ..
         for w in range(i + 1, n):
             if label[w] != label[i] or w in orbit:
                 continue
-            img = next(find_maps(codes, label, fixed=pinned + ((i, w),)), None)
+            img = next(find_maps(rows, label, fixed=pinned + ((i, w),)), None)
             if img is None:
                 continue
             gens.append(img)
@@ -224,8 +205,8 @@ def _equitable(rows, label: list[int], classes: int,
         classes = len(order)
 
 
-def canonical_form(codes: list[list[int]]) -> tuple:
-    """A value equal for two code matrices exactly when one relabels the other.
+def canonical_form(rows) -> tuple:
+    """A value two sets of code rows share exactly when one relabels the other.
 
     Individualisation-refinement: refine to an equitable labelling, then
     individualise in turn each vertex of the smallest non-singleton cell
@@ -237,15 +218,13 @@ def canonical_form(codes: list[list[int]]) -> tuple:
     a symmetry that maps the earlier leaf's path onto the later one, so
     the search goes back to the node where the two paths part.  At every
     node a vertex is skipped when the symmetries found so far that fix
-    the path map it to a vertex already tried there.  The diagonal is not
-    read.
+    the path map it to a vertex already tried there.
     """
-    n = len(codes)
-    sparse = _sparse_rows(codes)
-    values = sorted({c for row in sparse for _, c in row})
+    n = len(rows)
+    values = sorted({c for row in rows for _, c in row})
     index = {c: i for i, c in enumerate(values)}
     width = len(values)
-    rows = [[(u, index[c]) for u, c in row] for row in sparse]
+    rows = [[(u, index[c]) for u, c in row] for row in rows]
     autos: list[tuple[int, ...]] = []
     leaves: list = []  # [first, best], each (certificate, label, path)
 
@@ -300,14 +279,14 @@ def _reaches(w: int, targets: list[int], autos, path: list[int]) -> bool:
     return any(t in orbit for t in targets)
 
 
-def nontrivial_map(codes: list[list[int]], labels=None) -> tuple[int, ...] | None:
-    """Least non-identity symmetry of a code matrix, or None.
+def nontrivial_map(rows, labels=None) -> tuple[int, ...] | None:
+    """Least non-identity symmetry of code rows, or None.
 
     labels are passed on to find_maps.  The identity is the
     lexicographically least bijection, so it is always the first map
     yielded; the next one, if any, is the answer.
     """
-    it = find_maps(codes, labels)
-    if next(it, None) != tuple(range(len(codes))):
+    it = find_maps(rows, labels)
+    if next(it, None) != tuple(range(len(rows))):
         raise AssertionError("identity map must always be valid")
     return next(it, None)

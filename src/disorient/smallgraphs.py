@@ -50,7 +50,7 @@ from .graphs import (Graph, bipartition, encode_graph6, hang_centre,
                      has_independent_triple, is_claw_free, neighbour_masks,
                      reach)
 from .groups import orbit_minima
-from .search import canonical_form, graph_codes, strong_generators
+from .search import canonical_form, code_rows, strong_generators
 
 
 def path_graph(n: int) -> Graph:
@@ -87,7 +87,7 @@ def double_star(a: int, b: int) -> Graph:
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and \
-        canonical_form(graph_codes(g)) == canonical_form(graph_codes(h))
+        canonical_form(code_rows(g)) == canonical_form(code_rows(h))
 
 
 def _extends_clawfree(bits: list[int], mask: int) -> bool:
@@ -165,9 +165,9 @@ def _grow(parents, keep=None) -> tuple[Graph, ...]:
     seen = set()
     for g in parents:
         n = g.n
-        codes = graph_codes(g)
+        rows = code_rows(g)
         bits = neighbour_masks(g)
-        gens = strong_generators(codes)[0]
+        gens = strong_generators(rows)[0]
         for mask in [v for v, _ in orbit_minima(n, [(gen, 0) for gen in gens]) if v]:
             if keep is not None and not keep(bits, mask):
                 continue
@@ -176,21 +176,22 @@ def _grow(parents, keep=None) -> tuple[Graph, ...]:
             if _earlier_parent(child):
                 continue
             key = _bucket_key(child)
+            nbrs = [v for v in range(n) if mask >> v & 1]
             i = first.get(key)
             if i is None:
                 first[key] = len(out)
             else:
                 if i >= 0:
-                    seen.add(canonical_form(graph_codes(out[i])))
+                    seen.add(canonical_form(code_rows(out[i])))
                     first[key] = -1
-                col = [mask >> v & 1 for v in range(n)]
-                form = canonical_form([row + [c] for row, c in zip(codes, col)]
-                                      + [col + [0]])
+                form = canonical_form([row + [(n, 1)] if mask >> v & 1 else row
+                                       for v, row in enumerate(rows)]
+                                      + [[(v, 1) for v in nbrs]])
                 if form in seen:
                     continue
                 seen.add(form)
-            extra = [(v, n) for v in range(n) if mask >> v & 1]
-            out.append(Graph.from_edges(n + 1, list(g.edges) + extra))
+            out.append(Graph.from_edges(n + 1,
+                                        list(g.edges) + [(v, n) for v in nbrs]))
     return _canonical_order(out)
 
 

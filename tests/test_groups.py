@@ -1,5 +1,6 @@
 """Automorphism groups, arc permutations and the twisted test."""
 
+import hashlib
 from math import factorial
 
 import pytest
@@ -22,6 +23,7 @@ from disorient import (
     connected_graphs,
     cycle_graph,
     encode_graph6,
+    enumerate_orientations,
     fixed_set_status,
     hang_centre,
     is_automorphism,
@@ -34,7 +36,7 @@ from disorient import (
     trees,
 )
 from disorient.orientations import _orbit_reps
-from disorient.search import find_maps, graph_codes, nontrivial_map, orientation_codes
+from disorient.search import code_rows, find_maps, nontrivial_map
 
 
 class TestPermutation:
@@ -123,6 +125,28 @@ class TestAutomorphismGroup:
         p = nontrivial_automorphism(cycle_graph(4))
         assert is_automorphism(cycle_graph(4), p)
         assert not p.is_identity
+
+    def test_search_outputs_pinned(self):
+        # Exact generator images and least non-identity maps, for every
+        # connected graph on <= 6 vertices and each orientation
+        # representative: the differential tests check only membership
+        # and order, so this pins the search's output itself.
+        def images(perms):
+            return " ".join(",".join(map(str, p.image)) for p in perms)
+
+        lines = []
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                inputs = [(g, "-")]
+                inputs += [(o, o.vector) for o in enumerate_orientations(g)]
+                for x, tag in inputs:
+                    gens, order = automorphism_generators(x)
+                    p = nontrivial_automorphism(x)
+                    lines.append(f"{encode_graph6(g)} {tag} {order} {images(gens)}"
+                                 f" | {images([] if p is None else [p])}")
+        assert len(lines) == 21567
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "c1eebcf2acbff01cb2f3c6fdc60a126d20a579b1efe4f0aa2f00cf3c6802150f"
 
     def test_twin_screen_agrees_with_the_search(self):
         # is_rigid answers graphs with twins without the search
@@ -296,24 +320,24 @@ class TestFixedSetStatus:
 
 class TestFindMaps:
     def test_counts_match_group_order(self):
-        codes = graph_codes(cycle_graph(4))
-        assert sum(1 for _ in find_maps(codes)) == 8
+        rows = code_rows(cycle_graph(4))
+        assert sum(1 for _ in find_maps(rows)) == 8
 
     def test_identity_comes_first(self):
-        codes = graph_codes(path_graph(3))
-        assert next(find_maps(codes)) == (0, 1, 2)
+        rows = code_rows(path_graph(3))
+        assert next(find_maps(rows)) == (0, 1, 2)
 
     def test_fixed_vertex(self):
-        codes = graph_codes(path_graph(3))
-        assert list(find_maps(codes, fixed=((0, 0),))) == [(0, 1, 2)]
+        rows = code_rows(path_graph(3))
+        assert list(find_maps(rows, fixed=((0, 0),))) == [(0, 1, 2)]
 
     def test_colour_codes_restrict_maps(self):
         g = path_graph(3)
-        plain = graph_codes(g)
-        coloured = graph_codes(g, colours=(1, 2))
+        plain = code_rows(g)
+        coloured = code_rows(g, (1, 2))
         assert nontrivial_map(plain) is not None
         assert nontrivial_map(coloured) is None
 
-    def test_orientation_codes(self):
+    def test_orientation_rows(self):
         o = Orientation.from_vector(path_graph(3), 0)
-        assert nontrivial_map(orientation_codes(o)) is None
+        assert nontrivial_map(code_rows(o)) is None

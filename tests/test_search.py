@@ -1,10 +1,10 @@
 """Canonical forms from the search kernel, and its garbage.
 
-The form must not change under relabelling, for graphs and for oriented
-or coloured code matrices, and two forms must be equal exactly when the
-brute-force oracle finds an isomorphism.  Highly symmetric graphs check
-that the search prunes by the symmetries it finds.  Property runs are
-derandomised so every run draws the same examples.
+The form must not change under relabelling, for graphs and for the code
+rows of oriented or coloured graphs, and two forms must be equal exactly
+when the brute-force oracle finds an isomorphism.  Highly symmetric
+graphs check that the search prunes by the symmetries it finds.
+Property runs are derandomised so every run draws the same examples.
 """
 
 import gc
@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 import oracles
 from disorient import (Graph, complete_graph, connected_graphs, cycle_graph,
                        encode_graph6, trees)
-from disorient.search import (canonical_form, codes_for, graph_codes,
-                              nontrivial_map, strong_generators)
+from disorient.search import (canonical_form, code_rows, nontrivial_map,
+                              strong_generators)
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "data" / "connected_1_7.g6"
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -37,28 +37,27 @@ def graphs(draw, max_n=9, n=None):
 
 
 @st.composite
-def code_matrices(draw):
-    """Code matrix of a random graph, oriented or edge-coloured or both."""
+def coded_rows(draw):
+    """Code rows of a random graph, oriented or edge-coloured or both."""
     g = draw(graphs())
     colours = None
     if draw(st.booleans()):
         colours = draw(st.lists(st.integers(1, 3), min_size=g.m, max_size=g.m))
     if draw(st.booleans()):
-        mat = [[0] * g.n for _ in range(g.n)]
+        rows = [[] for _ in range(g.n)]
         for i, (u, v) in enumerate(g.edges):
             t, h = (u, v) if draw(st.booleans()) else (v, u)
             c = 1 if colours is None else colours[i]
-            mat[t][h], mat[h][t] = c, -c
-        return mat
-    return graph_codes(g, colours)
+            rows[t].append((h, c))
+            rows[h].append((t, -c))
+        return rows
+    return code_rows(g, colours)
 
 
-def relabel(codes, image):
-    n = len(codes)
-    out = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            out[image[u]][image[v]] = codes[u][v]
+def relabel(rows, image):
+    out = [None] * len(rows)
+    for v, row in enumerate(rows):
+        out[image[v]] = [(image[u], c) for u, c in row]
     return out
 
 
@@ -87,14 +86,14 @@ class TestCanonicalForm:
     @given(graphs(), st.data())
     def test_graph_relabelling_invariant(self, g, data):
         p = data.draw(st.permutations(range(g.n)))
-        assert canonical_form(graph_codes(g)) == \
-            canonical_form(graph_codes(g.relabel(p)))
+        assert canonical_form(code_rows(g)) == \
+            canonical_form(code_rows(g.relabel(p)))
 
     @SETTINGS
-    @given(code_matrices(), st.data())
-    def test_code_matrix_relabelling_invariant(self, codes, data):
-        p = data.draw(st.permutations(range(len(codes))))
-        assert canonical_form(codes) == canonical_form(relabel(codes, p))
+    @given(coded_rows(), st.data())
+    def test_code_matrix_relabelling_invariant(self, rows, data):
+        p = data.draw(st.permutations(range(len(rows))))
+        assert canonical_form(rows) == canonical_form(relabel(rows, p))
 
     @SETTINGS
     @given(graphs(max_n=6), st.data())
@@ -104,7 +103,7 @@ class TestCanonicalForm:
         h = data.draw(graphs(n=g.n))
         if data.draw(st.booleans()):
             h = g.relabel(data.draw(st.permutations(range(g.n))))
-        same = canonical_form(graph_codes(g)) == canonical_form(graph_codes(h))
+        same = canonical_form(code_rows(g)) == canonical_form(code_rows(h))
         assert same == oracles.brute_isomorphic(g, h)
 
     def test_disjoint_unions_relabelling_invariant(self):
@@ -115,27 +114,27 @@ class TestCanonicalForm:
             g = disjoint_union(parts)
             p = list(range(g.n))
             rnd.shuffle(p)
-            assert canonical_form(graph_codes(g)) == \
-                canonical_form(graph_codes(g.relabel(p))), g
+            assert canonical_form(code_rows(g)) == \
+                canonical_form(code_rows(g.relabel(p))), g
 
     def test_distinct_over_corpora(self):
         for corpus in (connected_graphs(6), trees(10)):
-            forms = {canonical_form(graph_codes(g)) for g in corpus}
+            forms = {canonical_form(code_rows(g)) for g in corpus}
             assert len(forms) == len(corpus)
 
     def test_codes_and_direction_count(self):
         g = cycle_graph(4)
-        assert canonical_form(graph_codes(g)) != \
-            canonical_form(graph_codes(g, colours=(2, 2, 2, 2)))
-        path = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
-        out_star = [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]
+        assert canonical_form(code_rows(g)) != \
+            canonical_form(code_rows(g, (2, 2, 2, 2)))
+        path = [[(1, 1)], [(0, -1), (2, 1)], [(1, -1)]]
+        out_star = [[(1, 1), (2, 1)], [(0, -1)], [(0, -1)]]
         assert canonical_form(path) != canonical_form(out_star)
         assert canonical_form(path) == canonical_form(relabel(path, (2, 0, 1)))
 
     def test_symmetric_graphs_are_fast(self):
         for g in (complete_graph(10), petersen_graph(), rook_graph_3x3()):
             start = time.perf_counter()
-            canonical_form(graph_codes(g))
+            canonical_form(code_rows(g))
             assert time.perf_counter() - start < 1.0, g
 
     def test_corpus_matches_committed_file(self):
@@ -148,13 +147,13 @@ class TestCanonicalForm:
 
 class TestNoReferenceCycles:
     def test_maps_leave_no_garbage(self):
-        codes = codes_for(trees(9)[5])
+        rows = code_rows(trees(9)[5])
         gc.collect()
         gc.disable()
         try:
             for _ in range(100):
-                nontrivial_map(codes)
-                strong_generators(codes)
+                nontrivial_map(rows)
+                strong_generators(rows)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -4,8 +4,8 @@ Random graphs on at most six vertices, each with a random orientation or
 edge colouring, are checked against brute-force permutation filters:
 the maps find_maps yields, in order, with and without a pinned vertex,
 and the generators and group order from strong_generators.  On up to
-seven vertices, the sparse rows built from the edges must hold the code
-matrix's entries, and refinement started from the uncoloured labels must
+seven vertices, the code rows must hold each edge's or arc's code at
+both of its ends, and refinement started from the uncoloured labels must
 reach the cells the unit partition gives.  Runs are derandomised so
 every run draws the same examples.
 """
@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import oracles
 from disorient import Graph, Orientation, are_isomorphic, cycle_graph
 from disorient import search
-from disorient.search import (code_rows, codes_for, equitable_labels,
-                              find_maps, strong_generators)
+from disorient.search import (code_rows, equitable_labels, find_maps,
+                              strong_generators)
 
 MAX_N = 6
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -74,20 +74,19 @@ def _expected(x, colours):
 @given(structures())
 def test_maps_match_oracle_in_order(case):
     x, colours = case
-    codes = codes_for(x, colours)
-    assert list(find_maps(codes)) == _expected(x, colours)
+    rows = code_rows(x, colours)
+    assert list(find_maps(rows)) == _expected(x, colours)
 
 
 @SETTINGS
 @given(structures(), st.data())
 def test_pinned_maps_match_oracle(case, data):
     x, colours = case
-    n = len(codes_for(x))
-    v = data.draw(st.integers(0, n - 1))
-    w = data.draw(st.integers(0, n - 1))
-    codes = codes_for(x, colours)
+    rows = code_rows(x, colours)
+    v = data.draw(st.integers(0, len(rows) - 1))
+    w = data.draw(st.integers(0, len(rows) - 1))
     want = [img for img in _expected(x, colours) if img[v] == w]
-    assert list(find_maps(codes, fixed=((v, w),))) == want
+    assert list(find_maps(rows, fixed=((v, w),))) == want
 
 
 @SETTINGS
@@ -95,7 +94,7 @@ def test_pinned_maps_match_oracle(case, data):
 def test_strong_generators_match_oracle(case):
     x, colours = case
     images = _expected(x, colours)
-    gens, order = strong_generators(codes_for(x, colours))
+    gens, order = strong_generators(code_rows(x, colours))
     assert order == len(images)
     assert set(gens) <= set(images)
 
@@ -111,10 +110,14 @@ def _cells(labels):
 @given(structures(max_n=7))
 def test_rows_are_the_matrix_entries(case):
     x, colours = case
-    codes = codes_for(x, colours)
-    rows = code_rows(x, colours)
-    assert [sorted(row) for row in rows] == \
-        [[(u, c) for u, c in enumerate(row) if c] for row in codes]
+    oriented = isinstance(x, Orientation)
+    want = [[] for _ in range(x.base.n if oriented else x.n)]
+    for i, (u, v) in enumerate(x.arcs if oriented else x.edges):
+        c = 1 if colours is None else colours[i]
+        want[u].append((v, c))
+        want[v].append((u, -c if oriented else c))
+    assert [sorted(row) for row in code_rows(x, colours)] == \
+        [sorted(row) for row in want]
 
 
 @SETTINGS
@@ -126,12 +129,12 @@ def test_refinement_from_plain_labels_reaches_the_same_cells(case):
     plain = equitable_labels(code_rows(x))
     unit = equitable_labels(code_rows(x, colours))
     assert _cells(equitable_labels(code_rows(x, colours), plain)) == _cells(unit)
-    assert list(find_maps(codes_for(x, colours), unit)) == _expected(x, colours)
+    assert list(find_maps(code_rows(x, colours), unit)) == _expected(x, colours)
 
 
 def test_strong_generators_refine_once(monkeypatch):
-    # one refinement of the matrix, however many searches reuse it
-    codes = codes_for(cycle_graph(6))
+    # one refinement of the rows, however many searches reuse it
+    rows = code_rows(cycle_graph(6))
     refine, calls = search.equitable_labels, []
 
     def spy(*args):
@@ -139,20 +142,21 @@ def test_strong_generators_refine_once(monkeypatch):
         return refine(*args)
 
     monkeypatch.setattr(search, "equitable_labels", spy)
-    gens, order = strong_generators(codes)
+    gens, order = strong_generators(rows)
     assert order == 12
     assert len(gens) >= 2
     assert len(calls) == 1
 
 
 def test_matrix_changed_in_place_is_refined_again():
-    # nothing is cached per matrix: the maps follow its current entries
+    # nothing is cached per input: the maps follow the rows' current entries
     g = cycle_graph(5)
     colours = (2,) + (1,) * (g.m - 1)  # edge (0, 1) set apart
-    codes = codes_for(g, colours)
-    assert list(find_maps(codes)) == _expected(g, colours)
-    codes[0][1] = codes[1][0] = 1
-    assert list(find_maps(codes)) == _expected(g, None)
+    rows = code_rows(g, colours)
+    assert list(find_maps(rows)) == _expected(g, colours)
+    rows[0][rows[0].index((1, 2))] = (1, 1)
+    rows[1][rows[1].index((0, 2))] = (0, 1)
+    assert list(find_maps(rows)) == _expected(g, None)
 
 
 @SETTINGS

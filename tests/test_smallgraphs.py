@@ -28,7 +28,7 @@ from disorient import (
 from disorient import smallgraphs
 from disorient.graphs import Graph
 from disorient.groups import orbit_minima
-from disorient.search import canonical_form, graph_codes, strong_generators
+from disorient.search import canonical_form, code_rows, strong_generators
 from disorient.smallgraphs import (_bucket_key, _earlier_parent,
                                    _extends_clawfree, _grow)
 
@@ -61,7 +61,7 @@ def _child(g: Graph, mask: int) -> Graph:
 
 def _least_masks(g: Graph) -> list[int]:
     """Non-empty vertex sets of g, as bitmasks, least in their orbit."""
-    gens = strong_generators(graph_codes(g))[0]
+    gens = strong_generators(code_rows(g))[0]
     return [v for v, _ in orbit_minima(g.n, [(gen, 0) for gen in gens]) if v]
 
 
@@ -75,7 +75,7 @@ def _reference_grow(parents, keep=None) -> tuple[Graph, ...]:
             if keep is not None and not keep(bits, mask):
                 continue
             h = _child(g, mask)
-            form = canonical_form(graph_codes(h))
+            form = canonical_form(code_rows(h))
             if form not in seen:
                 seen.add(form)
                 out.append(h)
@@ -194,7 +194,7 @@ class TestGrowth:
                     orbit = {sum(1 << img[v] for v in range(n) if mask >> v & 1)
                              for img in images}
                     orbits[min(orbit)] = len(orbit)
-                gens = strong_generators(graph_codes(g))[0]
+                gens = strong_generators(code_rows(g))[0]
                 assert list(orbit_minima(n, [(gen, 0) for gen in gens])) == \
                     sorted(orbits.items()), g
 
@@ -223,7 +223,7 @@ class TestScreens:
             forms_below = {}  # parent edge count -> forms of its children
             for g in parents:
                 forms = forms_below.setdefault(g.m, set())
-                forms.update(canonical_form(graph_codes(_child(g, mask)))
+                forms.update(canonical_form(code_rows(_child(g, mask)))
                              for mask in range(1, 1 << n))
             rejected = 0
             for g in parents:
@@ -232,7 +232,7 @@ class TestScreens:
                     if not _earlier_parent(_bits(h)):
                         continue
                     rejected += 1
-                    form = canonical_form(graph_codes(h))
+                    form = canonical_form(code_rows(h))
                     assert any(form in forms for m, forms in forms_below.items()
                                if m < g.m), (g, mask)
             assert rejected or n < 3, n

@@ -64,6 +64,11 @@ class TestCorpus:
         assert c.duplicates == ("Bw",)
         assert len(c) == 2
         assert all(g.n == 3 for g in c)
+        # the optional graph6 header is not part of the label
+        c = Corpus.from_lines([">>graph6<<Bw", "Bw", "Bo"])
+        assert c.labels == ("Bw", "Bw", "Bo")
+        assert c.duplicates == ("Bw",)
+        assert [g.m for g in c] == [3, 3, 2]
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "corpus.g6"
