@@ -27,7 +27,11 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with a canonical sorted edge list."""
+    """Simple undirected graph with a canonical sorted edge list.
+
+    One parsed from graph6 also keeps the text, as vars(g)["graph6"]
+    (see _parse_graph6); no other graph carries it.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -202,6 +206,14 @@ def _encode_int(x: int, count: int) -> str:
 
 
 def _parse_graph6(text: str) -> Graph:
+    """The graph text encodes, keeping the text as its graph6 encoding.
+
+    The text accepted, header removed, is exactly encode_graph6 of the
+    result: _decode_size accepts only the one-byte size, and _decode_int
+    only the exact data length, bytes 63..126 and zero padding, so each
+    graph has one text that parses to it.  It is kept as vars(g)["graph6"], the same
+    string object, which encode_graph6 then returns without encoding.
+    """
     if text.startswith(_G6_HEADER):
         text = text[len(_G6_HEADER):]
     n, data = _decode_size(text)
@@ -217,7 +229,9 @@ def _parse_graph6(text: str) -> Graph:
         j = (1 + isqrt(8 * k + 1)) // 2
         edges.append((k - j * (j - 1) // 2, j))
     edges.sort()
-    return Graph(n, tuple(edges))
+    g = Graph(n, tuple(edges))
+    vars(g)["graph6"] = text
+    return g
 
 
 def _parse_digraph6(text: str) -> Orientation:
@@ -294,6 +308,15 @@ def parse(fmt: str, text: str) -> Graph | Orientation:
 
 
 def encode_graph6(g: Graph) -> str:
+    """g's graph6 text, without the header.
+
+    A graph parsed from graph6 keeps the text it was parsed from, which
+    is exactly this encoding (see _parse_graph6), and gets it back with
+    no work.  Any other graph is encoded, and nothing is stored on it.
+    """
+    text = vars(g).get("graph6")
+    if text is not None:
+        return text
     n = g.n
     if n > 62:
         raise ValueError("graph6 encoding supported only for n <= 62")

@@ -5,7 +5,9 @@ entry, a pass, a violation carrying the expected and actual values, or a
 skip naming the unmet hypothesis or exceeded cap.  Conjecture scans
 follow the same shape but treat a counterexample as a reported finding,
 not an error; their distinguishing values can be cached in an
-append-only JSON-lines file so interrupted sweeps resume cheaply.
+append-only JSON-lines file so interrupted sweeps resume cheaply.  A
+row's key is the graph's graph6 text, which a graph parsed from graph6
+keeps, so a warm rescan of a parsed corpus encodes nothing.
 Workers take each graph as the corpus parsed it, and work on a twin of
 it when they compute a value: nothing is parsed twice, and the caches a
 check fills leave with the twin instead of staying on the corpus.
@@ -480,34 +482,40 @@ def verify_theorem(corpus: Corpus, theorem_id: str, *,
     return _assemble(theorem_id, corpus.labels, results, started)
 
 
-# The last cache file read: its resolved path -> ((st_ino, st_size,
-# st_mtime_ns) or None while it does not exist, {g6: (dprime,
-# od_minus)}).  One entry, so a long-lived process holds one file's rows.
-_CACHE_MEMO: dict[Path, tuple[tuple[int, int, int] | None, dict[str, tuple]]] = {}
+# The last cache file read: the path as given -> ((st_dev, st_ino,
+# st_size, st_mtime_ns) or None while it does not exist, {g6: (dprime,
+# od_minus)}).  The device and inode in the stamp tell when the same
+# spelling names another file, after a chdir or a replace.  One entry,
+# so a long-lived process holds one file's rows.
+_CACHE_MEMO: dict[str, tuple[tuple[int, int, int, int] | None,
+                             dict[str, tuple]]] = {}
 
 
-def _stamp(p: Path) -> tuple[int, int, int] | None:
+def _stamp(path: str) -> tuple[int, int, int, int] | None:
     try:
-        st = p.stat()
+        st = os.stat(path)
     except FileNotFoundError:
         return None
-    return st.st_ino, st.st_size, st.st_mtime_ns
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _load_cache(path) -> dict[str, tuple]:
     """(dprime, od_minus) by graph6 key, read once per file state.
 
-    The rows of the last file read are kept under its resolved path and
-    read again only when the file's inode, size or mtime has changed
-    since, so a scan made of many batches parses the file once.
+    A key is the graph's graph6 text: the text the corpus parsed, when
+    there is one, else its encoding.  The rows of the last file read are
+    kept under the path as given and read again only when one stat of
+    it shows another device, inode, size or mtime, so a scan made of
+    many batches parses the file once; two spellings of one file cost at
+    most one more read.
     """
-    p = Path(path).resolve()
+    p = os.fspath(path)
     stamp = _stamp(p)
     memo = _CACHE_MEMO.get(p)
     if memo is not None and memo[0] == stamp:
         return memo[1]
     rows: dict[str, tuple] = {}
-    lines = p.read_text().splitlines() if stamp is not None else []
+    lines = Path(p).read_text().splitlines() if stamp is not None else []
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -525,7 +533,7 @@ def _append_cache(path, rows) -> None:
     """Append rows; the memo takes them in unless the file changed meanwhile."""
     if not rows:
         return
-    p = Path(path).resolve()
+    p = os.fspath(path)
     memo = _CACHE_MEMO.pop(p, None)
     current = memo is not None and memo[0] == _stamp(p)
     with open(p, "a") as fh:
@@ -727,8 +735,10 @@ def scan_conjectures(corpus: Corpus, which="both", *,
 
     which selects 1, 2, or "both".  A violation is a finding: the report
     carries it, nothing raises.  When cache_path is set, known values
-    are reused and new ones appended as JSON lines, keyed by graph6;
-    with no cache no key is computed, so graphs of any order scan.
+    are reused and new ones appended as JSON lines, keyed by graph6:
+    the text a graph was parsed from when there is one, which is its
+    encoding, so only other graphs are encoded.  With no cache no key
+    is computed, so graphs of any order scan.
 
     Values the cache lacks come from certificates first: for D', a
     rigidity test, then the colouring that sets the least longest path

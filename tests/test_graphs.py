@@ -1,6 +1,7 @@
 """Formats, basic structure queries and tree centres."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from disorient import (
+    Corpus,
     FormatError,
     Graph,
     Orientation,
@@ -243,6 +245,47 @@ class TestParseFuzz:
                 parse("digraph6", text)
         else:
             assert sorted(parse("digraph6", text).arcs) == arcs
+
+
+class TestKeptText:
+    """A graph parsed from graph6 keeps the text, which is its encoding."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(graphs_to_62())
+    def test_kept_text_is_the_encoding(self, g):
+        t = encode_graph6(g)
+        for text in (t, ">>graph6<<" + t, f"  {t}\n"):
+            h = parse("graph6", text)
+            assert vars(h)["graph6"] == t
+            assert encode_graph6(h) == t
+            assert encode_graph6(Graph(h.n, h.edges)) == t
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(sized_bodies().filter(lambda text: not text.startswith("&")))
+    def test_every_accepted_text_is_the_encoding(self, text):
+        # one text per graph: the size byte, the data length and the zero
+        # padding are all fixed, so any body parse accepts is the encoding
+        try:
+            h = parse("graph6", text)
+        except FormatError:
+            return
+        assert encode_graph6(Graph(h.n, h.edges)) == text
+
+    def test_corpus_labels_are_the_kept_texts(self):
+        corpus = Corpus.from_lines(["Bw", ">>graph6<<Cs  # comment", "  DhC\n",
+                                    "Bw"])
+        assert corpus.labels == ("Bw", "Cs", "DhC", "Bw")
+        for g, label in zip(corpus, corpus.labels):
+            assert vars(g)["graph6"] is label
+
+    def test_other_graphs_keep_no_text(self):
+        parsed = parse("graph6", "DhC")
+        built = [Graph(parsed.n, parsed.edges), parsed.relabel((4, 3, 2, 1, 0)),
+                 replace(parsed), *connected_graphs(5),
+                 *Corpus.from_graphs(connected_graphs(4))]
+        for g in built:
+            encode_graph6(g)
+            assert "graph6" not in vars(g)
 
 
 class TestGraphBasics:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from disorient import groups, verify
+from disorient import graphs, groups, verify
 from disorient import (
     CLAIMS,
     THEOREM_IDS,
@@ -40,6 +40,8 @@ from disorient import (
     verify_theorem,
 )
 from disorient.graphs import neighbour_masks
+
+CONNECTED_1_7 = Path(__file__).resolve().parent.parent / "bench" / "data" / "connected_1_7.g6"
 
 
 def _corpus(*graphs) -> Corpus:
@@ -329,6 +331,29 @@ class TestScanConjectures:
         assert r.total == 1 and "over cap" in r.skipped[0].reason
         assert keys == []
 
+    def test_parsed_corpus_scans_encode_no_key(self, tmp_path, monkeypatch):
+        # the corpus's graphs keep the text they were parsed from, which
+        # is their key: neither the cold nor the warm scan encodes
+        corpus = Corpus.from_file(CONNECTED_1_7)
+        built = Corpus.from_graphs(g for n in range(1, 6) for g in connected_graphs(n))
+        calls = []
+        encode_int = graphs._encode_int
+
+        def spy(*args):
+            calls.append(args)
+            return encode_int(*args)
+        monkeypatch.setattr(graphs, "_encode_int", spy)
+        cache = tmp_path / "scan.jsonl"
+        cold = scan_conjectures(corpus, cache_path=cache)
+        text = cache.read_text()
+        warm = scan_conjectures(corpus, cache_path=cache)
+        assert _stable(warm) == _stable(cold)
+        assert cache.read_text() == text
+        assert calls == []
+        # graphs built any other way are encoded, one key each
+        assert scan_conjectures(built, cache_path=cache).ok
+        assert len(calls) == len(built)
+
     def test_cache_roundtrip(self, tmp_path):
         cache = tmp_path / "scan.jsonl"
         corpus = _corpus(complete_graph(3), path_graph(4))
@@ -362,9 +387,64 @@ class TestScanConjectures:
         verify._CACHE_MEMO.clear()
         for g in (complete_graph(3), cycle_graph(5), path_graph(4)):
             assert scan_conjectures(_corpus(g), cache_path=cache).ok
-        assert reads == [cache.resolve()]
+        assert reads == [cache]
         rows = [json.loads(line) for line in read_text(cache).splitlines()]
         assert len(rows) == 4
+
+    def test_cache_spellings_give_the_same_rows(self, tmp_path):
+        folder = tmp_path / "dir"
+        folder.mkdir()
+        cache = folder / "c.jsonl"
+        corpus = _corpus(path_graph(3), cycle_graph(5))
+        first = _stable(scan_conjectures(corpus, cache_path=cache))
+        text = cache.read_text()
+        want = dict(verify._load_cache(cache))
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(cache)
+        spellings = (link, folder / ".." / "dir" / "c.jsonl", str(cache), cache)
+        for spelling in spellings:
+            assert verify._load_cache(spelling) == want
+            assert _stable(scan_conjectures(corpus, cache_path=spelling)) == first
+        assert cache.read_text() == text
+        # rows appended through one spelling are read through the others
+        assert scan_conjectures(_corpus(star_graph(3)), cache_path=link).ok
+        want[encode_graph6(star_graph(3))] = (3, None)  # od_minus not needed at 3
+        for spelling in spellings:
+            assert verify._load_cache(spelling) == want
+
+    def test_relative_cache_path_follows_the_working_directory(
+            self, tmp_path, monkeypatch):
+        corpus = _corpus(path_graph(3))
+        first, second = tmp_path / "a", tmp_path / "b"
+        first.mkdir()
+        second.mkdir()
+        monkeypatch.chdir(first)
+        assert scan_conjectures(corpus, "2", cache_path="c.jsonl").ok
+        # the other file has the same size and mtime: only the inode differs
+        st = (first / "c.jsonl").stat()
+        other = second / "c.jsonl"
+        other.write_text((first / "c.jsonl").read_text()
+                         .replace('"od_minus": 1', '"od_minus": 2'))
+        os.utime(other, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert (other.stat().st_size, other.stat().st_mtime_ns) == \
+            (st.st_size, st.st_mtime_ns)
+        monkeypatch.chdir(second)
+        assert verify._load_cache("c.jsonl") == {encode_graph6(path_graph(3)): (2, 2)}
+        assert not scan_conjectures(corpus, "2", cache_path="c.jsonl").ok
+
+    def test_cache_replaced_with_equal_size_and_mtime_is_read_again(self, tmp_path):
+        cache = tmp_path / "scan.jsonl"
+        corpus = _corpus(path_graph(3))
+        assert scan_conjectures(corpus, "2", cache_path=cache).ok
+        st = cache.stat()
+        swap = tmp_path / "swap.jsonl"
+        swap.write_text(cache.read_text().replace('"od_minus": 1', '"od_minus": 2'))
+        os.utime(swap, ns=(st.st_atime_ns, st.st_mtime_ns))
+        os.replace(swap, cache)
+        now = cache.stat()
+        assert (now.st_size, now.st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+        assert now.st_ino != st.st_ino
+        assert not scan_conjectures(corpus, "2", cache_path=cache).ok
 
     def test_cache_rewritten_from_outside_is_seen(self, tmp_path):
         cache = tmp_path / "scan.jsonl"
