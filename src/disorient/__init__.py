@@ -33,8 +33,8 @@ from .graphs import (CenterInfo, FormatError, Graph, HungTree, Orientation,
 from .groups import (NOT_FIXED, POINTWISE, SETWISE_ONLY, Permutation,
                      arc_permutation, arcs_of, automorphism_generators,
                      automorphisms, fixed_set_status, is_automorphism,
-                     is_rigid, is_twisted, nontrivial_automorphism,
-                     tree_automorphism_generators)
+                     is_rigid, is_twisted, kept_vector,
+                     nontrivial_automorphism, tree_automorphism_generators)
 from .orientations import (DEFAULT_EDGE_CAP, EdgeCapError, ODResult,
                            enumerate_orientations, find_rigid_orientation,
                            od_extremes, od_minus, od_plus)

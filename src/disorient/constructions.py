@@ -28,7 +28,7 @@ from .distinguishing import Colouring
 from .graphs import (CenterInfo, Graph, Orientation, bipartition,
                      hamiltonian_path, is_claw_free, is_connected,
                      longest_cycle, neighbour_masks, path_walk, reach)
-from .groups import (Permutation, edge_action, is_automorphism, is_twisted,
+from .groups import (Permutation, is_automorphism, kept_vector,
                      nontrivial_automorphism)
 
 CENTRAL_VERTEX = "central_vertex"
@@ -251,24 +251,12 @@ def hamiltonian_orientation(g: Graph, path=None) -> Orientation:
 def compatible_orientation(g: Graph, p: Permutation) -> Orientation:
     """An orientation preserved by the given non-twisted automorphism.
 
-    Walks the cycles of p's action on edges (edge_action), each from its
-    least edge, which keeps its canonical direction; each edge passes its
-    direction on to its image, reversed where p reverses the edge, and a
-    non-twisted p brings the direction back unchanged when the cycle
-    closes.
+    Its direction vector is p's kept_vector: each cycle of p's action on
+    edges walked from its least edge, which keeps its canonical direction.
     """
-    if is_twisted(g, p):
+    vector = kept_vector(g, p)
+    if vector is None:
         raise ValueError("twisted automorphism admits no compatible orientation")
-    perm, flips = edge_action(g, p)
-    vector = 0
-    for cycle in Permutation(perm).cycles():
-        bit = 0
-        for j in cycle:
-            vector |= bit << j
-            bit ^= flips >> j & 1
-        if bit:
-            e = g.edges[cycle[0]]
-            raise ConstructionError(f"cycle through arc {e} conflicts at edge {e}")
     o = Orientation.from_vector(g, vector)
     if not is_automorphism(o, p):
         raise ConstructionError("constructed orientation does not admit the automorphism")

@@ -27,11 +27,7 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with a canonical sorted edge list.
-
-    One parsed from graph6 also keeps the text, as vars(g)["graph6"]
-    (see _parse_graph6); no other graph carries it.
-    """
+    """Simple undirected graph with a canonical sorted edge list."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -101,17 +97,6 @@ class Graph:
     def relabel(self, image) -> Graph:
         """Apply the vertex map i -> image[i] and re-canonicalise."""
         return Graph.from_edges(self.n, ((image[u], image[v]) for u, v in self.edges))
-
-    def induced(self, vertices) -> tuple[Graph, tuple[int, ...]]:
-        """Induced subgraph on the given vertices, relabelled to 0..k-1.
-
-        Returns the subgraph and the sorted original ids; new vertex i
-        corresponds to old vertex ids[i].
-        """
-        ids = tuple(sorted(vertices))
-        pos = {v: i for i, v in enumerate(ids)}
-        sub = [(pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos]
-        return Graph.from_edges(len(ids), sub), ids
 
 
 @dataclass(frozen=True)
@@ -206,13 +191,12 @@ def _encode_int(x: int, count: int) -> str:
 
 
 def _parse_graph6(text: str) -> Graph:
-    """The graph text encodes, keeping the text as its graph6 encoding.
+    """The graph text encodes.
 
     The text accepted, header removed, is exactly encode_graph6 of the
     result: _decode_size accepts only the one-byte size, and _decode_int
     only the exact data length, bytes 63..126 and zero padding, so each
-    graph has one text that parses to it.  It is kept as vars(g)["graph6"], the same
-    string object, which encode_graph6 then returns without encoding.
+    graph has one text that parses to it.
     """
     if text.startswith(_G6_HEADER):
         text = text[len(_G6_HEADER):]
@@ -229,9 +213,7 @@ def _parse_graph6(text: str) -> Graph:
         j = (1 + isqrt(8 * k + 1)) // 2
         edges.append((k - j * (j - 1) // 2, j))
     edges.sort()
-    g = Graph(n, tuple(edges))
-    vars(g)["graph6"] = text
-    return g
+    return Graph(n, tuple(edges))
 
 
 def _parse_digraph6(text: str) -> Orientation:
@@ -308,15 +290,7 @@ def parse(fmt: str, text: str) -> Graph | Orientation:
 
 
 def encode_graph6(g: Graph) -> str:
-    """g's graph6 text, without the header.
-
-    A graph parsed from graph6 keeps the text it was parsed from, which
-    is exactly this encoding (see _parse_graph6), and gets it back with
-    no work.  Any other graph is encoded, and nothing is stored on it.
-    """
-    text = vars(g).get("graph6")
-    if text is not None:
-        return text
+    """g's graph6 text, without the header."""
     n = g.n
     if n > 62:
         raise ValueError("graph6 encoding supported only for n <= 62")

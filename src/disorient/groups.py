@@ -288,23 +288,38 @@ def orbit_minima(k: int, actions) -> Iterator[tuple[int, int]]:
         yield v, size
 
 
-def is_twisted(g: Graph, p: Permutation) -> bool:
-    """True when some edge's two arcs lie in one cycle of the induced arc action.
+def kept_vector(g: Graph, p: Permutation) -> int | None:
+    """The direction vector of an orientation p keeps, or None when p is twisted.
 
-    Equivalently, some power of p transposes the end-vertices of an edge;
-    such an automorphism cannot survive in any orientation of g.
+    Walks each cycle of p's action on edges (edge_action) from its least
+    edge, which keeps its canonical direction; each edge passes its
+    direction on to its image, reversed where p reverses the edge.  A
+    cycle that flips an odd number of times brings the direction back
+    reversed: then some power of p transposes the end-vertices of an
+    edge, and no orientation of g keeps p.  This is the one walk that
+    decides it.  Raises ValueError unless p is an automorphism of g.
     """
-    ap = arc_permutation(g, p)
-    cycle_id = [-1] * len(ap.image)
-    cid = 0
-    for a in range(len(ap.image)):
-        if cycle_id[a] == -1:
-            b = a
-            while cycle_id[b] == -1:
-                cycle_id[b] = cid
-                b = ap.image[b]
-            cid += 1
-    return any(cycle_id[2 * i] == cycle_id[2 * i + 1] for i in range(g.m))
+    if not is_automorphism(g, p):
+        raise ValueError("permutation is not an automorphism of the graph")
+    perm, flips = edge_action(g, p)
+    vector = seen = 0
+    for start in range(g.m):
+        if seen >> start & 1:
+            continue
+        bit, j = 0, start
+        while not seen >> j & 1:
+            seen |= 1 << j
+            vector |= bit << j
+            bit ^= flips >> j & 1
+            j = perm[j]
+        if bit:
+            return None
+    return vector
+
+
+def is_twisted(g: Graph, p: Permutation) -> bool:
+    """Whether no orientation of g keeps the automorphism p (kept_vector)."""
+    return kept_vector(g, p) is None
 
 
 def fixed_set_status(perms: Iterable[Permutation], s: Iterable[int]) -> str:

@@ -6,8 +6,9 @@ skip naming the unmet hypothesis or exceeded cap.  Conjecture scans
 follow the same shape but treat a counterexample as a reported finding,
 not an error; their distinguishing values can be cached in an
 append-only JSON-lines file so interrupted sweeps resume cheaply.  A
-row's key is the graph's graph6 text, which a graph parsed from graph6
-keeps, so a warm rescan of a parsed corpus encodes nothing.
+row's key is the corpus's label for the graph, its graph6 text, so a
+scan encodes nothing: a corpus read from graph6 keeps the lines it
+parsed, and one built from graphs encodes each once, when it is built.
 Workers take each graph as the corpus parsed it, and work on a twin of
 it when they compute a value: nothing is parsed twice, and the caches a
 check fills leave with the twin instead of staying on the corpus.
@@ -59,8 +60,7 @@ from .graphs import (FormatError, Graph, Orientation, bipartition, cycles,
                      is_claw_free, is_connected, longest_path,
                      neighbour_masks, parse)
 from .groups import (NOT_FIXED, automorphism_generators, automorphisms,
-                     edge_action, fixed_set_status, is_automorphism, is_rigid,
-                     is_twisted)
+                     fixed_set_status, is_automorphism, is_rigid, is_twisted)
 from .orientations import (DEFAULT_EDGE_CAP, enumerate_orientations,
                            find_rigid_orientation, od_extremes, od_minus)
 
@@ -125,11 +125,20 @@ class Report:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Graphs to check, in input order; repeated lines are kept but flagged."""
+    """Graphs to check, in input order; repeated lines are kept but flagged.
+
+    labels holds each entry's graph6 text, header removed: a report names
+    an entry by it, and a scan's cache keys its rows by it.
+    """
 
     entries: tuple[Graph, ...]
     labels: tuple[str, ...]
     duplicates: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(self.entries) != len(self.labels):
+            raise ValueError(f"{len(self.entries)} entries but "
+                             f"{len(self.labels)} labels")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -147,9 +156,11 @@ class Corpus:
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
-            text = text.removeprefix(">>graph6<<")
+            text = text.removeprefix(">>graph6<<").strip()
             try:
-                graphs.append(parse("graph6", text))
+                # parse removes this one header again, so a second one is
+                # an error, never part of a label
+                graphs.append(parse("graph6", ">>graph6<<" + text))
             except FormatError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
             labels.append(text)
@@ -268,32 +279,6 @@ def _check_thm8(g: Graph, cap: int):
     return _PASS
 
 
-def _parity_fixed_vector_exists(g: Graph, p) -> bool:
-    """Whether some direction vector is invariant under p's edge action.
-
-    Works cycle by cycle: following a cycle of the edge permutation
-    forces each direction bit from the previous one, so a consistent
-    assignment exists exactly when every cycle flips an even number of
-    times.
-    """
-    perm, flips = edge_action(g, p)
-    seen = [False] * g.m
-    for start in range(g.m):
-        if seen[start]:
-            continue
-        parity = 0
-        i = start
-        while True:
-            seen[i] = True
-            parity ^= flips >> i & 1
-            i = perm[i]
-            if i == start:
-                break
-        if parity:
-            return False
-    return True
-
-
 def _check_thm9(g: Graph, cap: int):
     if not is_connected(g):
         return _skip("disconnected")
@@ -312,13 +297,9 @@ def _check_thm9(g: Graph, cap: int):
         if not p.is_identity:
             (twisted if is_twisted(g, p) else kept).append(p)
 
-    # (a) no orientation keeps a twisted map: by flip parity, and again on
-    # each orientation representative, which suffices since Aut(o) lies in
-    # Aut(g) and a conjugate of a twisted map is twisted.
-    for p in twisted:
-        if _parity_fixed_vector_exists(g, p):
-            return _viol("no orientation admits the twisted map",
-                         f"{tuple(p.image)} fixes some direction vector")
+    # (a) no orientation keeps a twisted map, tested on each orientation
+    # representative, which suffices since Aut(o) lies in Aut(g) and a
+    # conjugate of a twisted map is twisted.
     if twisted:
         for o in enumerate_orientations(g, edge_cap=cap):
             for p in twisted:
@@ -502,12 +483,11 @@ def _stamp(path: str) -> tuple[int, int, int, int] | None:
 def _load_cache(path) -> dict[str, tuple]:
     """(dprime, od_minus) by graph6 key, read once per file state.
 
-    A key is the graph's graph6 text: the text the corpus parsed, when
-    there is one, else its encoding.  The rows of the last file read are
-    kept under the path as given and read again only when one stat of
-    it shows another device, inode, size or mtime, so a scan made of
-    many batches parses the file once; two spellings of one file cost at
-    most one more read.
+    A key is a graph's graph6 text, as the corpus labels it.  The rows
+    of the last file read are kept under the path as given and read
+    again only when one stat of it shows another device, inode, size or
+    mtime, so a scan made of many batches parses the file once; two
+    spellings of one file cost at most one more read.
     """
     p = os.fspath(path)
     stamp = _stamp(p)
@@ -735,10 +715,9 @@ def scan_conjectures(corpus: Corpus, which="both", *,
 
     which selects 1, 2, or "both".  A violation is a finding: the report
     carries it, nothing raises.  When cache_path is set, known values
-    are reused and new ones appended as JSON lines, keyed by graph6:
-    the text a graph was parsed from when there is one, which is its
-    encoding, so only other graphs are encoded.  With no cache no key
-    is computed, so graphs of any order scan.
+    are reused and new ones appended as JSON lines, keyed by the
+    corpus's labels, which are the graphs' graph6 texts: the scan itself
+    encodes nothing, so graphs of any order scan.
 
     Values the cache lacks come from certificates first: for D', a
     rigidity test, then the colouring that sets the least longest path
@@ -756,26 +735,24 @@ def scan_conjectures(corpus: Corpus, which="both", *,
     started = time.perf_counter()
     cache = _load_cache(cache_path) if cache_path else {}
 
-    canons = ([encode_graph6(g) for g in corpus.entries] if cache_path
-              else [None] * len(corpus))
-    tasks = [(g, which, edge_cap, *cache.get(canon, (None, None)))
-             for g, canon in zip(corpus.entries, canons)]
+    tasks = [(g, which, edge_cap, *cache.get(label, (None, None)))
+             for g, label in zip(corpus.entries, corpus.labels)]
     outs = _run_tasks(_scan_worker, tasks, jobs)
 
     if cache_path:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         fresh = []
         written = set()
-        for canon, out in zip(canons, outs):
-            if canon in written:
+        for label, out in zip(corpus.labels, outs):
+            if label in written:
                 continue
-            if (out["dprime"], out["od_minus"]) == cache.get(canon):
+            if (out["dprime"], out["od_minus"]) == cache.get(label):
                 continue
             if out["dprime"] is None and out["od_minus"] is None:
                 continue
-            fresh.append({"g6": canon, "dprime": out["dprime"],
+            fresh.append({"g6": label, "dprime": out["dprime"],
                           "od_minus": out["od_minus"], "timestamp": stamp})
-            written.add(canon)
+            written.add(label)
         _append_cache(cache_path, fresh)
 
     name = "conjectures" if which == "both" else f"conjecture{which}"

@@ -248,17 +248,18 @@ class TestParseFuzz:
 
 
 class TestKeptText:
-    """A graph parsed from graph6 keeps the text, which is its encoding."""
+    """A corpus keeps each entry's graph6 text as its label; no graph keeps one."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(graphs_to_62())
     def test_kept_text_is_the_encoding(self, g):
         t = encode_graph6(g)
-        for text in (t, ">>graph6<<" + t, f"  {t}\n"):
-            h = parse("graph6", text)
-            assert vars(h)["graph6"] == t
-            assert encode_graph6(h) == t
-            assert encode_graph6(Graph(h.n, h.edges)) == t
+        for text in (t, ">>graph6<<" + t, f"  {t}\n", f">>graph6<< {t} # note"):
+            corpus = Corpus.from_lines([text])
+            assert corpus.labels == (t,)
+            assert corpus.entries == (g,)
+            assert encode_graph6(corpus.entries[0]) == t
+            assert "graph6" not in vars(corpus.entries[0])
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(sized_bodies().filter(lambda text: not text.startswith("&")))
@@ -273,18 +274,20 @@ class TestKeptText:
 
     def test_corpus_labels_are_the_kept_texts(self):
         corpus = Corpus.from_lines(["Bw", ">>graph6<<Cs  # comment", "  DhC\n",
-                                    "Bw"])
+                                    ">>graph6<< Bw"])
         assert corpus.labels == ("Bw", "Cs", "DhC", "Bw")
         for g, label in zip(corpus, corpus.labels):
-            assert vars(g)["graph6"] is label
+            assert encode_graph6(g) == label
+            assert "graph6" not in vars(g)
 
     def test_other_graphs_keep_no_text(self):
         parsed = parse("graph6", "DhC")
-        built = [Graph(parsed.n, parsed.edges), parsed.relabel((4, 3, 2, 1, 0)),
-                 replace(parsed), *connected_graphs(5),
-                 *Corpus.from_graphs(connected_graphs(4))]
+        built = [parsed, Graph(parsed.n, parsed.edges),
+                 parsed.relabel((4, 3, 2, 1, 0)), replace(parsed),
+                 *connected_graphs(5)]
+        corpus = Corpus.from_graphs(built)
+        assert corpus.labels == tuple(encode_graph6(g) for g in built)
         for g in built:
-            encode_graph6(g)
             assert "graph6" not in vars(g)
 
 

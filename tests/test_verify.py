@@ -71,6 +71,13 @@ class TestCorpus:
         assert c.labels == ("Bw", "Bw", "Bo")
         assert c.duplicates == ("Bw",)
         assert [g.m for g in c] == [3, 3, 2]
+        # nor is the space after it
+        c = Corpus.from_lines(["Cs", ">>graph6<< Cs", ">>graph6<<Cs"])
+        assert c.labels == ("Cs", "Cs", "Cs")
+        assert c.duplicates == ("Cs", "Cs")
+        # one header is removed, and a second is an error
+        with pytest.raises(FormatError, match="line 2"):
+            Corpus.from_lines(["Bw", ">>graph6<<>>graph6<<Bw"])
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "corpus.g6"
@@ -86,6 +93,13 @@ class TestCorpus:
     def test_from_graphs(self):
         c = _corpus(path_graph(3), complete_graph(3))
         assert c.labels == (encode_graph6(path_graph(3)), "Bw")
+
+    def test_one_label_per_entry(self):
+        # a label short would drop its entry from every check and scan
+        with pytest.raises(ValueError, match="2 entries but 1 labels"):
+            Corpus((path_graph(3), cycle_graph(4)), ("Bw",))
+        with pytest.raises(ValueError, match="1 entries but 2 labels"):
+            Corpus((path_graph(3),), ("Bw", "Bw"))
 
 
 class TestVerifyTheorem:
@@ -232,12 +246,10 @@ class TestVerifyTheorem:
 
     def test_thm9_tests_twisted_maps_on_each_orientation(self, monkeypatch):
         # P3 has D' = 2, and its reversal survives in the orientation with
-        # both arcs into the middle; counted as twisted, with the parity
-        # test silenced, only the orientation-level test can catch it
+        # both arcs into the middle; counted as twisted, only the
+        # orientation-level test can catch it
         corpus = _corpus(path_graph(3))
         assert verify_theorem(corpus, "thm9").passed == 1
-        monkeypatch.setattr(verify, "_parity_fixed_vector_exists",
-                            lambda g, p: False)
         monkeypatch.setattr(verify, "is_twisted", lambda g, p: True)
         r = verify_theorem(corpus, "thm9")
         assert [v.expected for v in r.violations] == \
@@ -332,10 +344,11 @@ class TestScanConjectures:
         assert keys == []
 
     def test_parsed_corpus_scans_encode_no_key(self, tmp_path, monkeypatch):
-        # the corpus's graphs keep the text they were parsed from, which
-        # is their key: neither the cold nor the warm scan encodes
-        corpus = Corpus.from_file(CONNECTED_1_7)
-        built = Corpus.from_graphs(g for n in range(1, 6) for g in connected_graphs(n))
+        # a scan keys its rows by the corpus's labels: once the corpus is
+        # built, neither a cold nor a warm scan encodes, whether the
+        # corpus was read from graph6 or built from graphs
+        corpora = (Corpus.from_file(CONNECTED_1_7),
+                   Corpus.from_graphs(g for n in range(1, 6) for g in connected_graphs(n)))
         calls = []
         encode_int = graphs._encode_int
 
@@ -343,16 +356,14 @@ class TestScanConjectures:
             calls.append(args)
             return encode_int(*args)
         monkeypatch.setattr(graphs, "_encode_int", spy)
-        cache = tmp_path / "scan.jsonl"
-        cold = scan_conjectures(corpus, cache_path=cache)
-        text = cache.read_text()
-        warm = scan_conjectures(corpus, cache_path=cache)
-        assert _stable(warm) == _stable(cold)
-        assert cache.read_text() == text
-        assert calls == []
-        # graphs built any other way are encoded, one key each
-        assert scan_conjectures(built, cache_path=cache).ok
-        assert len(calls) == len(built)
+        for name, corpus in zip(("parsed", "built"), corpora):
+            cache = tmp_path / f"{name}.jsonl"
+            cold = scan_conjectures(corpus, cache_path=cache)
+            text = cache.read_text()
+            warm = scan_conjectures(corpus, cache_path=cache)
+            assert _stable(warm) == _stable(cold)
+            assert cache.read_text() == text
+            assert calls == [], name
 
     def test_cache_roundtrip(self, tmp_path):
         cache = tmp_path / "scan.jsonl"
