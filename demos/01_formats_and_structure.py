@@ -29,7 +29,7 @@ c = tree_center(spider)
 print("  centre:", c.kind, c.vertices)
 
 # digraph6 keeps directions; opposite arc pairs are rejected at parse time
-o = Orientation.from_vector(k3, 0b010)
+o = Orientation(k3, 0b010)
 code = encode_digraph6(o)
 print("directed triangle:", code, "->", parse("digraph6", code).arcs)
 

@@ -23,13 +23,13 @@ print("  any survivor?", kept)
 print("  at width 1:", dprime_at_most(c6, 1))
 
 # a directed triangle is easier than the plain one
-o = Orientation.from_vector(k3, 0b010)
+o = Orientation(k3, 0b010)
 print("directed triangle index:", dprime(o).value)
 
 # the reversal of an undirected path dies once arcs exist
 p4 = path_graph(4)
 print("path index:", dprime(p4).value)
-one_way = Orientation.from_vector(p4, 0)
+one_way = Orientation(p4, 0)
 print("one-way path index:", dprime(one_way).value)
 
 # rooted trees: colour the edges so only the identity fixes the root;

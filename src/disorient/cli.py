@@ -44,9 +44,9 @@ def _read_graph_arg(value: str, fmt: str | None) -> Graph | Orientation:
         return parse(fmt, text)
     if text.startswith(">>digraph6<<") or text.startswith("&"):
         return parse("digraph6", text)
-    if any(ch.isspace() for ch in text):
-        return parse("edgelist", text)
-    return parse("graph6", text)
+    if text.startswith(">>graph6<<") or not any(ch.isspace() for ch in text):
+        return parse("graph6", text)
+    return parse("edgelist", text)
 
 
 def _require_graph(x) -> Graph:

@@ -156,7 +156,8 @@ def layered_orientation(g: Graph, partition: OrderedPartition) -> Orientation:
     """
     partition.check_for(g)
     idx = {v: partition.index_of(v) for v in range(g.n)}
-    return Orientation(g, tuple(idx[u] < idx[v] for u, v in g.edges))
+    return Orientation(g, sum(1 << i for i, (u, v) in enumerate(g.edges)
+                              if idx[u] > idx[v]))
 
 
 def natural_bipartition(g: Graph) -> OrderedPartition:
@@ -172,31 +173,28 @@ def split_colouring(g: Graph, partition: OrderedPartition,
     """Turn a pair colouring into an orientation plus an arc colouring.
 
     An edge whose pair bit is 0 is directed like the layered
-    orientation, a bit of 1 reverses it; the arc keeps the pair's colour
+    orientation, a bit of 1 reverses it, so the direction vector is the
+    layered one XOR the pair bits; the arc keeps the pair's colour
     component.
     """
-    partition.check_for(g)
+    layered = layered_orientation(g, partition)
     if len(pair.bits) != g.m:
         raise ValueError("pair colouring length does not match the edge count")
-    idx = {v: partition.index_of(v) for v in range(g.n)}
-    flags = []
-    for i, (u, v) in enumerate(g.edges):
-        low_high = idx[u] < idx[v]
-        flags.append(low_high if pair.bits[i] == 0 else not low_high)
-    return Orientation(g, tuple(flags)), Colouring(pair.width, pair.colours)
+    flips = sum(b << i for i, b in enumerate(pair.bits))
+    return Orientation(g, layered.vector ^ flips), Colouring(pair.width, pair.colours)
 
 
 def merge_colouring(g: Graph, partition: OrderedPartition, o: Orientation,
                     c: Colouring) -> PairColouring:
     """Exact inverse of split_colouring."""
-    partition.check_for(g)
+    layered = layered_orientation(g, partition)
     if o.base != g:
         raise ValueError("orientation does not belong to the given graph")
     if len(c.assignment) != g.m:
         raise ValueError("colouring length does not match the edge count")
-    idx = {v: partition.index_of(v) for v in range(g.n)}
-    bits = tuple(0 if idx[t] < idx[h] else 1 for t, h in o.arcs)
-    return PairColouring(c.width, bits, c.assignment)
+    flips = o.vector ^ layered.vector
+    return PairColouring(c.width, tuple(flips >> i & 1 for i in range(g.m)),
+                         c.assignment)
 
 
 def _positions(path) -> dict[int, int]:
@@ -211,9 +209,9 @@ def hamiltonian_orientation(g: Graph, path=None) -> Orientation:
     an automorphism keeps each vertex's count.  Each reachable set is a
     bitmask built in one pass in reverse path order from the sets of the
     out-neighbours, which are complete by then since every arc points
-    later on the path.  A tie raises ConstructionError.  The sets are
-    read off out-neighbour bitmasks of the result, so no adjacency cache
-    is filled on g or on the result.
+    later on the path.  A tie raises ConstructionError.  The direction
+    vector and the out-neighbour bitmasks the sets are read off both come
+    from the path positions, so no cache is filled on g or on the result.
     """
     if path is None:
         path = hamiltonian_path(g)
@@ -223,13 +221,15 @@ def hamiltonian_orientation(g: Graph, path=None) -> Orientation:
     if sorted(path) != list(range(g.n)):
         raise ValueError("path does not visit every vertex exactly once")
     pos = _positions(path)
-    o = Orientation(g, tuple(pos[u] < pos[v] for u, v in g.edges))
+    vector = 0
     out = [0] * g.n
-    for (u, v), forward in zip(g.edges, o.forward):
-        if forward:
+    for i, (u, v) in enumerate(g.edges):
+        if pos[u] < pos[v]:
             out[u] |= 1 << v
         else:
             out[v] |= 1 << u
+            vector |= 1 << i
+    o = Orientation(g, vector)
     if any(not (out[a] >> b | out[b] >> a) & 1 for a, b in zip(path, path[1:])):
         raise ValueError("path is not a path of the graph")
     reach = [0] * g.n
@@ -257,7 +257,7 @@ def compatible_orientation(g: Graph, p: Permutation) -> Orientation:
     vector = kept_vector(g, p)
     if vector is None:
         raise ValueError("twisted automorphism admits no compatible orientation")
-    o = Orientation.from_vector(g, vector)
+    o = Orientation(g, vector)
     if not is_automorphism(o, p):
         raise ConstructionError("constructed orientation does not admit the automorphism")
     return o

@@ -174,16 +174,15 @@ def count_optimal_rooted_colourings(rt: RootedTree, width: int | None = None) ->
     return shapes.count(code, shapes.index(code) if width is None else width)
 
 
-def oriented_tree_index(o: Orientation, shapes: ShapeTable | None = None) -> int:
+def oriented_tree_index(o: Orientation) -> int:
     """Distinguishing index of an oriented tree, counted.
 
     Every automorphism of an oriented tree fixes both centre vertices,
     since swapping the ends of a central edge would reverse its arc, so
     the index is the rooted index at a centre vertex with each arc's
-    direction in its child's key.  Calls that pass one table share its
-    codes and counts.
+    direction in its child's key.
     """
-    shapes = shapes or ShapeTable()
+    shapes = ShapeTable()
     hung = o.base.hung
     return shapes.index(hung.codes(shapes.codes, o.vector)[hung.root])
 
@@ -244,8 +243,7 @@ def _twin_cliques(x: Graph | Orientation) -> list[list[int]]:
         if g.degree(leaf) != 1 or g.n == 2:
             continue
         if isinstance(x, Orientation):
-            outward = x.forward[i] == ((u, v) == (support, leaf))
-            key = (support, outward)
+            key = (support, x.vector >> i & 1 ^ (u == support))
         else:
             key = (support,)
         buckets.setdefault(key, []).append(i)

@@ -101,44 +101,38 @@ class Graph:
 
 @dataclass(frozen=True)
 class Orientation:
-    """An orientation of a graph: one direction per canonical edge.
+    """An orientation of a graph: its direction vector.
 
-    forward[i] is True when edge i = (u, v) carries the arc u -> v.
+    Bit i of vector is set when edge i = (u, v) is reversed and carries
+    the arc v -> u, so the 2^m orientations are the integers 0..2^m-1.
     """
 
     base: Graph
-    forward: tuple[bool, ...]
+    vector: int
 
     def __post_init__(self) -> None:
-        if len(self.forward) != self.base.m:
-            raise ValueError("one direction flag per edge required")
+        if type(self.vector) is not int or not 0 <= self.vector < 1 << self.base.m:
+            raise ValueError(f"direction vector {self.vector!r} is not an int "
+                             f"in 0..2^{self.base.m}-1")
 
     @classmethod
     def from_arcs(cls, base: Graph, arcs) -> Orientation:
-        flags: list[bool | None] = [None] * base.m
+        seen = vector = 0
         for t, h in arcs:
             i = base.index_of(t, h)
-            f = t < h
-            if flags[i] is not None:
+            if seen >> i & 1:
                 raise ValueError(f"edge {base.edges[i]} directed twice")
-            flags[i] = f
-        if any(f is None for f in flags):
+            seen |= 1 << i
+            vector |= (t > h) << i
+        if seen != (1 << base.m) - 1:
             raise ValueError("every edge needs a direction")
-        return cls(base, tuple(flags))  # type: ignore[arg-type]
-
-    @classmethod
-    def from_vector(cls, base: Graph, vec: int) -> Orientation:
-        """Direction vector: bit i set means edge i is reversed (v -> u)."""
-        return cls(base, tuple(not (vec >> i) & 1 for i in range(base.m)))
-
-    @property
-    def vector(self) -> int:
-        return sum(1 << i for i, f in enumerate(self.forward) if not f)
+        return cls(base, vector)
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) if f else (v, u)
-                     for (u, v), f in zip(self.base.edges, self.forward))
+        vec = self.vector
+        return tuple((v, u) if vec >> i & 1 else (u, v)
+                     for i, (u, v) in enumerate(self.base.edges))
 
     def relabel(self, image) -> Orientation:
         new_base = self.base.relabel(image)
@@ -193,13 +187,12 @@ def _encode_int(x: int, count: int) -> str:
 def _parse_graph6(text: str) -> Graph:
     """The graph text encodes.
 
-    The text accepted, header removed, is exactly encode_graph6 of the
-    result: _decode_size accepts only the one-byte size, and _decode_int
-    only the exact data length, bytes 63..126 and zero padding, so each
-    graph has one text that parses to it.
+    The text accepted, header and whitespace removed, is exactly
+    encode_graph6 of the result: _decode_size accepts only the one-byte
+    size, and _decode_int only the exact data length, bytes 63..126 and
+    zero padding, so each graph has one text that parses to it.
     """
-    if text.startswith(_G6_HEADER):
-        text = text[len(_G6_HEADER):]
+    text = text.removeprefix(_G6_HEADER).strip()
     n, data = _decode_size(text)
     count = n * (n - 1) // 2
     x = _decode_int(data, count)
@@ -217,8 +210,7 @@ def _parse_graph6(text: str) -> Graph:
 
 
 def _parse_digraph6(text: str) -> Orientation:
-    if text.startswith(_D6_HEADER):
-        text = text[len(_D6_HEADER):]
+    text = text.removeprefix(_D6_HEADER).strip()
     if not text.startswith("&"):
         raise FormatError("digraph6 input must start with '&'")
     n, data = _decode_size(text[1:])
@@ -646,7 +638,7 @@ class HungTree:
     steps lists each non-root vertex as (vertex, parent, edge index,
     below), children before parents (reversed BFS order); below is 1
     when vertex < parent.  Edge i's bit in a direction vector (set when
-    the edge is reversed, as in Orientation.from_vector) XOR below is 1
+    the edge is reversed, as in Orientation.vector) XOR below is 1
     exactly when its arc points to the parent.  centre is the tree's
     centre when it was hung from its first centre vertex (hang_centre).
     """

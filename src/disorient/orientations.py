@@ -134,7 +134,7 @@ def enumerate_orientations(g: Graph, *,
 
     Orbit representatives are the least direction vectors, ascending.
     """
-    return [Orientation.from_vector(g, v) for v, _, _ in _orbit_reps(g, edge_cap)]
+    return [Orientation(g, v) for v, _, _ in _orbit_reps(g, edge_cap)]
 
 
 def _require_connected(g: Graph) -> None:
@@ -187,7 +187,7 @@ def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True
             return shapes.index(hung.codes(shapes.codes, v)[hung.root]), None
     else:
         def evaluate(v):
-            return search(Orientation.from_vector(g, v))
+            return search(Orientation(g, v))
         own = search(g) if greatest and g.n != 2 else None
     floor = _pendant_floor(g)
     ceiling = own[0] if own else 1
@@ -208,12 +208,8 @@ def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True
         if (not least or lo[0] == floor) and (not greatest or hi[0] == ceiling):
             break
     assert lo is not None and hi is not None
-    return (_oriented(g, *lo) if least else None,
-            _oriented(g, *hi) if greatest else None)
-
-
-def _oriented(g: Graph, value: int, v: int, colouring: Colouring | None):
-    return value, Orientation.from_vector(g, v), colouring
+    return tuple((value, Orientation(g, v), colouring) if asked else None
+                 for asked, (value, v, colouring) in ((least, lo), (greatest, hi)))
 
 
 def _witnessed(value: int, o: Orientation, colouring: Colouring | None):
@@ -265,5 +261,5 @@ def find_rigid_orientation(g: Graph, *,
     _require_connected(g)
     for v, size, order in _orbit_reps(g, edge_cap):
         if size == order:
-            return Orientation.from_vector(g, v)
+            return Orientation(g, v)
     return None

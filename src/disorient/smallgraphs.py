@@ -244,17 +244,14 @@ def trees(n: int) -> tuple[Graph, ...]:
 
 
 @lru_cache(maxsize=None)
-def clawfree_graphs(n: int, max_edges: int | None = None) -> tuple[Graph, ...]:
+def clawfree_graphs(n: int) -> tuple[Graph, ...]:
     """Connected claw-free graphs on n vertices, one per isomorphism class.
 
     Up to seven vertices this filters the full connected corpus; beyond
     that the vertex-addition chain itself is restricted to claw-free
     graphs, which stays exhaustive because claw-freeness survives
-    deleting a vertex.  With max_edges, only the graphs with at most that
-    many edges, filtered from the cached uncapped level.
+    deleting a vertex.
     """
-    if max_edges is not None:
-        return tuple(g for g in clawfree_graphs(n) if g.m <= max_edges)
     if n <= 7:
         return tuple(g for g in connected_graphs(n) if is_claw_free(g))
     return _grow(clawfree_graphs(n - 1), keep=_extends_clawfree)

@@ -156,13 +156,13 @@ class Corpus:
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
-            text = text.removeprefix(">>graph6<<").strip()
             try:
-                # parse removes this one header again, so a second one is
-                # an error, never part of a label
-                graphs.append(parse("graph6", ">>graph6<<" + text))
+                # parse removes one header, so a second one is an error,
+                # never part of a label
+                graphs.append(parse("graph6", text))
             except FormatError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
+            text = text.removeprefix(">>graph6<<").strip()
             labels.append(text)
             if text in seen:
                 dups.append(text)
@@ -644,8 +644,8 @@ def _certified_rigid(g: Graph, path, witness: Colouring | None) -> bool:
             return True
         except ConstructionError:
             pass
-    return witness is not None and is_rigid(
-        Orientation(g, tuple(c == 1 for c in witness.assignment)))
+    return witness is not None and is_rigid(Orientation(
+        g, sum(1 << i for i, c in enumerate(witness.assignment) if c == 2)))
 
 
 def _needs_od_minus(which: str, d: int) -> bool:

@@ -137,7 +137,7 @@ def brute_first_distinguishing(x, width: int) -> tuple[int, ...] | None:
 
 def brute_od_extremes(g: Graph) -> tuple[int, int]:
     """(min, max) of the index over all 2^m orientations, no dedup."""
-    values = [brute_dprime(Orientation.from_vector(g, v))
+    values = [brute_dprime(Orientation(g, v))
               for v in range(1 << g.m)]
     return min(values), max(values)
 

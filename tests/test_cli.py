@@ -83,9 +83,15 @@ class TestInputForms:
         assert (code, j["dprime"]) == (0, 2)
 
     def test_digraph6_autodetect(self, capsys):
-        o = Orientation.from_vector(complete_graph(3), 0b010)
+        o = Orientation(complete_graph(3), 0b010)
         code, j = run_json(capsys, ["dprime", encode_digraph6(o)])
         assert (code, j["dprime"]) == (0, 2)
+
+    def test_header_then_space_autodetect(self, capsys):
+        # a header routes the text before the whitespace sniff
+        for text in (">>graph6<< Cs", ">>digraph6<< &BP?"):
+            code, j = run_json(capsys, ["aut", text])
+            assert code == 0 and j == run_json(capsys, ["aut", text.split()[1]])[1]
 
     def test_explicit_format(self, capsys):
         code, j = run_json(capsys, ["dprime", K3, "--format", "graph6"])
@@ -171,7 +177,7 @@ class TestOd:
         assert j == {"rigid": False, "orientation": None}
 
     def test_directed_input_rejected(self, capsys):
-        o = Orientation.from_vector(complete_graph(3), 0)
+        o = Orientation(complete_graph(3), 0)
         assert main(["od", encode_digraph6(o)]) == 2
         assert "undirected" in capsys.readouterr().err
 

@@ -233,7 +233,7 @@ class TestHamiltonianOrientation:
         g = cycle_graph(5)
         before = dict(vars(g))
         o = hamiltonian_orientation(g, (0, 1, 2, 3, 4))
-        assert vars(g) == before and set(vars(o)) == {"base", "forward"}
+        assert vars(g) == before and set(vars(o)) == {"base", "vector"}
 
     def test_arc_against_the_path_is_caught(self, monkeypatch):
         # positions read backwards point every arc earlier on the path,
@@ -378,7 +378,7 @@ class TestDirectedCycles:
         for n in range(3, 6):
             for g in connected_graphs(n):
                 for vec in range(1 << g.m):
-                    o = Orientation.from_vector(g, vec)
+                    o = Orientation(g, vec)
                     out = [0] * n
                     for t, h in o.arcs:
                         out[t] |= 1 << h

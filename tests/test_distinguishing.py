@@ -34,7 +34,7 @@ from disorient.distinguishing import (_candidate_strings, _prior_twins,
 
 
 def _directed_triangle():
-    return Orientation.from_vector(complete_graph(3), 0b010)
+    return Orientation(complete_graph(3), 0b010)
 
 
 class TestColouring:
@@ -112,7 +112,7 @@ class TestDprime:
             dprime(path_graph(2))
 
     def test_single_arc_allowed(self):
-        o = Orientation.from_vector(path_graph(2), 0)
+        o = Orientation(path_graph(2), 0)
         assert dprime(o).value == 1
 
     def test_disconnected_rejected(self):
@@ -128,13 +128,13 @@ class TestDprime:
     def test_orientations_vs_oracle(self):
         g = cycle_graph(4)
         for vec in range(1 << g.m):
-            o = Orientation.from_vector(g, vec)
+            o = Orientation(g, vec)
             assert dprime(o).value == oracles.brute_dprime(o)
 
     def test_witness_re_verified(self):
         k1 = Graph(1, ())
         rigid = Graph.from_edges(6, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 5), (2, 4)])
-        rigid_orientation = Orientation.from_vector(path_graph(3), 0)
+        rigid_orientation = Orientation(path_graph(3), 0)
         extra = [k1, rigid, rigid_orientation]
         for x in [g for n in range(3, 6) for g in connected_graphs(n)] + extra:
             r = dprime(x)
@@ -230,9 +230,9 @@ class TestCandidates:
         # orientations keep only their pendant-arc cliques
         for o in enumerate_orientations(g):
             assert _width_floor(o, _twin_cliques(o)) == 2
-        o = Orientation.from_vector(star_graph(4), 0b0011)
+        o = Orientation(star_graph(4), 0b0011)
         assert _width_floor(o, _twin_cliques(o)) == 2
-        o = Orientation.from_vector(star_graph(4), 0b0001)
+        o = Orientation(star_graph(4), 0b0001)
         assert _width_floor(o, _twin_cliques(o)) == 3
 
 

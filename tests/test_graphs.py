@@ -49,6 +49,11 @@ class TestParse:
     def test_graph6_optional_header(self):
         assert parse("graph6", ">>graph6<<Bw") == parse("graph6", "Bw")
 
+    def test_header_then_space(self):
+        # as in a corpus line, the space after a header is not data
+        assert parse("graph6", ">>graph6<< Cs") == parse("graph6", "Cs")
+        assert parse("digraph6", ">>digraph6<< &BP?") == parse("digraph6", "&BP?")
+
     def test_edgelist_path(self):
         g = parse("edgelist", "3\n0 1\n1 2")
         assert g == path_graph(3)
@@ -58,12 +63,12 @@ class TestParse:
         assert parse("edgelist", text) == path_graph(4)
 
     def test_digraph6_round_trip(self):
-        o = Orientation.from_vector(cycle_graph(4), 0b0101)
+        o = Orientation(cycle_graph(4), 0b0101)
         again = parse("digraph6", encode_digraph6(o))
         assert again.arcs == o.arcs
 
     def test_digraph6_header(self):
-        o = Orientation.from_vector(path_graph(3), 0)
+        o = Orientation(path_graph(3), 0)
         text = encode_digraph6(o)
         assert text.startswith("&")
         assert parse("digraph6", ">>digraph6<<" + text).arcs == o.arcs
@@ -206,8 +211,7 @@ class TestParseFuzz:
     @given(random_graphs(), st.data())
     def test_round_trips(self, g, data):
         assert parse("graph6", encode_graph6(g)) == g
-        o = Orientation(g, tuple(data.draw(st.lists(
-            st.booleans(), min_size=g.m, max_size=g.m))))
+        o = Orientation(g, data.draw(st.integers(0, (1 << g.m) - 1)))
         assert parse("digraph6", encode_digraph6(o)) == o
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -217,7 +221,7 @@ class TestParseFuzz:
         assert text == oracles.graph6_of(g.n, g.edges)
         assert oracles.graph6_edges(text) == (g.n, list(g.edges))
         assert parse("graph6", text) == g
-        o = Orientation.from_vector(g, data.draw(st.integers(0, (1 << g.m) - 1)))
+        o = Orientation(g, data.draw(st.integers(0, (1 << g.m) - 1)))
         text = encode_digraph6(o)
         assert oracles.digraph6_arcs(text) == (g.n, sorted(o.arcs))
         assert parse("digraph6", text) == o
@@ -310,8 +314,18 @@ class TestGraphBasics:
 
     def test_orientation_vector_round_trip(self):
         g = cycle_graph(5)
-        for vec in (0, 1, 0b10110, 0b11111):
-            assert Orientation.from_vector(g, vec).vector == vec
+        for vec in range(1 << g.m):
+            o = Orientation(g, vec)
+            assert o.vector == vec
+            assert Orientation.from_arcs(g, o.arcs) == o
+
+    def test_orientation_vector_out_of_range_rejected(self):
+        # a vector is never truncated to the edge count nor read as
+        # "all reversed", and neither a tuple of direction flags nor a
+        # single flag is taken for a vector
+        for bad in (4, -1, (True, False), True):
+            with pytest.raises(ValueError):
+                Orientation(path_graph(3), bad)
 
 
 class TestStructure:

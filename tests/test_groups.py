@@ -63,7 +63,7 @@ class TestAutomorphismGroup:
         assert not is_rigid(complete_graph(3))
 
     def test_directed_path_is_rigid(self):
-        o = Orientation.from_vector(path_graph(3), 0)
+        o = Orientation(path_graph(3), 0)
         assert [p.image for p in automorphisms(o)] == [(0, 1, 2)]
         assert is_rigid(o)
 
@@ -102,7 +102,7 @@ class TestAutomorphismGroup:
         g = cycle_graph(4)
         base = {p.image for p in automorphisms(g)}
         for vec in range(1 << g.m):
-            o = Orientation.from_vector(g, vec)
+            o = Orientation(g, vec)
             got = sorted(p.image for p in automorphisms(o))
             assert got == sorted(oracles.brute_automorphism_images(o))
             assert set(got) <= base
@@ -121,7 +121,7 @@ class TestAutomorphismGroup:
 
     def test_nontrivial_and_rigid(self):
         assert nontrivial_automorphism(path_graph(3)) is not None
-        assert is_rigid(Orientation.from_vector(path_graph(4), 0))
+        assert is_rigid(Orientation(path_graph(4), 0))
         p = nontrivial_automorphism(cycle_graph(4))
         assert is_automorphism(cycle_graph(4), p)
         assert not p.is_identity
@@ -339,5 +339,5 @@ class TestFindMaps:
         assert nontrivial_map(coloured) is None
 
     def test_orientation_rows(self):
-        o = Orientation.from_vector(path_graph(3), 0)
+        o = Orientation(path_graph(3), 0)
         assert nontrivial_map(code_rows(o)) is None

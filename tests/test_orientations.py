@@ -1,5 +1,7 @@
 """Orientation sweeps and the min/max index over orientations."""
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,11 +13,11 @@ from disorient import (
     Graph,
     Orientation,
     RootedTree,
-    ShapeTable,
     automorphisms,
     connected_graphs,
     cycle_graph,
     dprime,
+    encode_digraph6,
     encode_graph6,
     enumerate_orientations,
     find_rigid_orientation,
@@ -124,7 +126,7 @@ class TestSweepBounds:
         for n in range(3, 10):
             for t in trees(n):
                 hung = hang_centre(t)
-                o = Orientation.from_vector(t, hung.away)
+                o = Orientation(t, hung.away)
                 assert dprime(o).value == _ceiling(t) == od_plus(t)[0], \
                     encode_graph6(t)
 
@@ -155,19 +157,19 @@ class TestSweepBounds:
 class TestEnumerate:
     def test_p3(self):
         g = path_graph(3)
-        full = [Orientation.from_vector(g, v) for v in range(1 << g.m)]
+        full = [Orientation(g, v) for v in range(1 << g.m)]
         assert [o.vector for o in full] == [0, 1, 2, 3]
         reps = enumerate_orientations(g)
         assert len(reps) == 3
 
     def test_single_edge(self):
         g = path_graph(2)
-        assert len([Orientation.from_vector(g, v) for v in range(1 << g.m)]) == 2
+        assert len([Orientation(g, v) for v in range(1 << g.m)]) == 2
         assert len(enumerate_orientations(g)) == 1
 
     def test_c4(self):
         g = cycle_graph(4)
-        assert len([Orientation.from_vector(g, v) for v in range(1 << g.m)]) == 16
+        assert len([Orientation(g, v) for v in range(1 << g.m)]) == 16
         assert len(enumerate_orientations(g)) == 4
 
     def test_orbit_counts_vs_counting_formula(self):
@@ -211,7 +213,7 @@ class TestEnumerate:
             for g in connected_graphs(n):
                 whole = len(oracles.brute_automorphism_images(g))
                 for v, size, order in _orbit_reps(g, 20):
-                    o = Orientation.from_vector(g, v)
+                    o = Orientation(g, v)
                     assert order == whole, encode_graph6(g)
                     assert size == len(_orbit_of(g, v)), (encode_graph6(g), v)
                     stab = len(oracles.brute_automorphism_images(o))
@@ -249,6 +251,25 @@ class TestExtremes:
             assert r.colouring_min.width == r.od_minus
             assert is_distinguishing(r.witness_min, r.colouring_min)
             assert is_distinguishing(r.witness_max, r.colouring_max)
+
+    def test_witnesses_pinned(self):
+        # both extremes with their witness orientations and colourings, and
+        # the first rigid orientation, of every connected graph on 3..6
+        # vertices and every tree on 3..10: 340 graphs
+        lines = []
+        for g in [*(g for n in range(3, 7) for g in connected_graphs(n)),
+                  *(t for n in range(3, 11) for t in trees(n))]:
+            r = od_extremes(g)
+            rig = find_rigid_orientation(g)
+            lines.append(" ".join([
+                encode_graph6(g), str(r.od_minus), encode_digraph6(r.witness_min),
+                "".join(map(str, r.colouring_min.assignment)), str(r.od_plus),
+                encode_digraph6(r.witness_max),
+                "".join(map(str, r.colouring_max.assignment)),
+                "-" if rig is None else encode_digraph6(rig)]))
+        assert len(lines) == 340
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "e69e454b35f7e3817ea3c0f41604af4f28a09dbb394fcfd57e2e4d928cb56791"
 
     def test_vs_no_dedup_oracle(self):
         for n in range(2, 6):
@@ -318,7 +339,7 @@ def oriented_trees(draw):
     n = draw(st.integers(3, 12))
     t = Graph.from_edges(n, [(draw(st.integers(0, v - 1)), v)
                              for v in range(1, n)])
-    return Orientation.from_vector(t, draw(st.integers(0, (1 << t.m) - 1)))
+    return Orientation(t, draw(st.integers(0, (1 << t.m) - 1)))
 
 
 @st.composite
@@ -334,12 +355,9 @@ class TestCountedTreeSweep:
     def test_counted_index_on_every_representative(self):
         for n in range(3, 10):
             for t in trees(n):
-                shapes = ShapeTable()
                 for v, _, _ in _orbit_reps(t, 20):
-                    o = Orientation.from_vector(t, v)
+                    o = Orientation(t, v)
                     want = dprime(o)
-                    assert oriented_tree_index(o, shapes) == want.value, \
-                        (encode_graph6(t), v)
                     assert oriented_tree_index(o) == want.value, \
                         (encode_graph6(t), v)
                     assert oriented_tree_colouring(o, want.value) == \

@@ -40,7 +40,7 @@ def structures(draw, max_n=MAX_N):
     g = draw(graphs(max_n=max_n))
     x = g
     if draw(st.booleans()):
-        x = Orientation.from_vector(g, draw(st.integers(0, (1 << g.m) - 1)))
+        x = Orientation(g, draw(st.integers(0, (1 << g.m) - 1)))
     colours = None
     if draw(st.booleans()):
         colours = tuple(draw(st.lists(st.integers(1, 3), min_size=g.m,
