@@ -4,12 +4,13 @@ Vertices are 0..n-1.  Edges are stored as (u, v) pairs with u < v in
 lexicographic order; the position of an edge in that order is its canonical
 index, used everywhere else (colour assignments, direction vectors).
 
-Structure is read off neighbour bitmasks (neighbour_masks) by four
-primitives, which the structure probes, the claw-free construction and
-corpus growth share: reach (a breadth-first search inside a vertex
-mask), path_walk (the least longest path inside a vertex mask), cycles
-(every simple cycle, in lexicographic order) and has_independent_triple
-(the claw test).  None fills Graph.adj.
+Structure is read off neighbour bitmasks (neighbour_masks) by a few
+primitives, which the structure probes, the claw-free construction,
+corpus growth and the conjecture scan share: reach (a breadth-first
+search inside a vertex mask), path_walk (the least longest path inside
+a vertex mask), cycles (every simple cycle, in lexicographic order),
+has_independent_triple and has_claw (the claw test) and has_twins (the
+rigidity test's twin screen).  None fills Graph.adj.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ class Orientation:
     def from_arcs(cls, base: Graph, arcs) -> Orientation:
         seen = vector = 0
         for t, h in arcs:
+            if not base.has_edge(t, h):
+                raise ValueError(f"arc {(t, h)} is not on an edge of the base")
             i = base.index_of(t, h)
             if seen >> i & 1:
                 raise ValueError(f"edge {base.edges[i]} directed twice")
@@ -404,13 +407,20 @@ def has_independent_triple(bits: list[int], mask: int) -> bool:
     return False
 
 
-def is_claw_free(g: Graph) -> bool:
-    """True when no vertex has three pairwise non-adjacent neighbours.
+def has_claw(bits: list[int]) -> bool:
+    """Whether a vertex has three pairwise non-adjacent neighbours."""
+    return any(has_independent_triple(bits, b) for b in bits)
 
-    Fills no cache on g.
-    """
-    bits = neighbour_masks(g)
-    return not any(has_independent_triple(bits, b) for b in bits)
+
+def is_claw_free(g: Graph) -> bool:
+    """True when g has no induced claw; fills no cache on g."""
+    return not has_claw(neighbour_masks(g))
+
+
+def has_twins(bits: list[int]) -> bool:
+    """Whether two vertices have equal open or equal closed neighbourhoods."""
+    return len(set(bits)) < len(bits) or \
+        len({b | 1 << v for v, b in enumerate(bits)}) < len(bits)
 
 
 def path_walk(bits: list[int], within: int) -> tuple[int, ...]:

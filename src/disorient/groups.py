@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .graphs import Graph, HungTree, Orientation, neighbour_masks
+from .graphs import Graph, HungTree, Orientation, has_twins, neighbour_masks
 from .search import code_rows, find_maps, nontrivial_map, strong_generators
 
 POINTWISE = "pointwise"
@@ -172,11 +172,8 @@ def is_rigid(x: Graph | Orientation) -> bool:
     or closed, found in O(m); only a graph without them, or an
     orientation, goes to the search.
     """
-    if isinstance(x, Graph):
-        masks = neighbour_masks(x)
-        if len(set(masks)) < x.n or \
-                len({b | 1 << v for v, b in enumerate(masks)}) < x.n:
-            return False
+    if isinstance(x, Graph) and has_twins(neighbour_masks(x)):
+        return False
     return nontrivial_automorphism(x) is None
 
 

@@ -13,6 +13,12 @@ Workers take each graph as the corpus parsed it, and work on a twin of
 it when they compute a value: nothing is parsed twice, and the caches a
 check fills leave with the twin instead of staying on the corpus.
 
+A cached row stands for the connectivity test: a scan writes rows only
+for graphs it found connected, under their own graph6 text.  So a graph
+whose row holds every value asked for gets only the single-edge and cap
+checks before its verdict, with no worker.  Any other graph has its
+neighbour masks built once, for that test and every helper after it.
+
 A conjecture scan tries the paper's certificates before any search.
 Each is a theorem or an exact test, so a value it gives is exact and a
 certificate that fails costs only time.  D' is 1 when the graph is
@@ -57,8 +63,8 @@ from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
 from .distinguishing import Colouring, dprime, is_distinguishing
 from .graphs import (FormatError, Graph, Orientation, bipartition, cycles,
                      encode_digraph6, encode_graph6, hamiltonian_path,
-                     is_claw_free, is_connected, longest_path,
-                     neighbour_masks, parse)
+                     has_claw, has_twins, is_claw_free, is_connected,
+                     neighbour_masks, parse, path_walk, reach)
 from .groups import (NOT_FIXED, automorphism_generators, automorphisms,
                      fixed_set_status, is_automorphism, is_rigid, is_twisted)
 from .orientations import (DEFAULT_EDGE_CAP, enumerate_orientations,
@@ -595,8 +601,8 @@ def _chord_moves(n: int, a: int, b: int):
     return [range(n - 1, -1, -1)] if a + b == n - 1 else []
 
 
-def _two_colouring(g: Graph, path) -> Colouring | None:
-    """A distinguishing 2-colouring built on path, or None.
+def _two_colouring(g: Graph, bits, path) -> Colouring | None:
+    """A distinguishing 2-colouring built on path, or None; bits are g's masks.
 
     path's edges are coloured 1 and the others 2; then, in edge order,
     that colouring with one more edge coloured 1.  A symmetry keeping
@@ -605,7 +611,6 @@ def _two_colouring(g: Graph, path) -> Colouring | None:
     symmetries of a path through every vertex and its chord.  A shorter
     path's chords go to the exact stabiliser test.
     """
-    bits = neighbour_masks(g)
     steps = {(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])}
     base = tuple(1 if e in steps else 2 for e in g.edges)
     k = len(path)
@@ -622,23 +627,23 @@ def _two_colouring(g: Graph, path) -> Colouring | None:
     return None
 
 
-def _certified_rigid(g: Graph, path, witness: Colouring | None) -> bool:
+def _certified_rigid(g: Graph, bits, path, witness: Colouring | None) -> bool:
     """Whether g orients rigidly, by Theorem 8, a construction or witness.
 
-    path is a longest path of g, and witness a distinguishing
-    2-colouring, or None.  A path through every vertex settles it with
-    no orientation built.  The claw-free construction checks its own
-    output for symmetry and raises ConstructionError when it finds one;
-    the witness's orientation, each colour-1 edge in its canonical
-    direction and each colour-2 edge reversed, is tested with is_rigid.
-    So True is exact.
+    bits are g's neighbour masks, path a longest path or None before one
+    is walked, and witness a distinguishing 2-colouring or None.  A path
+    through every vertex settles it with no orientation built.  The
+    claw-free construction checks its own output for symmetry and raises
+    ConstructionError when it finds one; the witness's orientation, each
+    colour-1 edge in its canonical direction and each colour-2 edge
+    reversed, is tested with is_rigid.  So True is exact.
     """
-    if len(path) == g.n:
+    if len(path or path_walk(bits, (1 << g.n) - 1)) == g.n:
         # Theorem 8: along the path, the vertex at position i reaches
         # exactly the n - i vertices from i on, so reach counts differ
         # and every automorphism is the identity
         return True
-    if g.n >= 6 and is_claw_free(g):
+    if g.n >= 6 and not has_claw(bits):
         try:
             clawfree_rigid_orientation_trace(g)
             return True
@@ -657,22 +662,25 @@ def _needs_od_minus(which: str, d: int) -> bool:
     return which != "2" and d >= 4 or which != "1" and d == 2
 
 
-def _settle(g: Graph, which: str, cap: int, d, odm):
-    """The values of (d, odm) a scan needs, computing those not known."""
+def _settle(g: Graph, bits, which: str, cap: int, d, odm):
+    """The values of (d, odm) a scan needs, computing those not known.
+
+    bits are g's neighbour masks, the one view of them its helpers share.
+    """
     path = witness = None  # a longest path, computed at most once
     if d is None:
-        if is_rigid(g):
+        if not has_twins(bits) and is_rigid(g):
             d = 1
         else:
-            path = longest_path(g)
-            witness = _two_colouring(g, path)
+            path = path_walk(bits, (1 << g.n) - 1)
+            witness = _two_colouring(g, bits, path)
             if witness is None:
                 result = dprime(g)
                 d, witness = result.value, result.witness
             else:
                 d = 2
     if odm is None and _needs_od_minus(which, d):
-        if d == 2 and (_certified_rigid(g, path or longest_path(g), witness)
+        if d == 2 and (_certified_rigid(g, bits, path, witness)
                        or find_rigid_orientation(g, edge_cap=cap) is not None):
             odm = 1
         else:
@@ -681,31 +689,21 @@ def _settle(g: Graph, which: str, cap: int, d, odm):
 
 
 def _scan_worker(args):
-    g, which, cap, d, odm = args
-    out = {"dprime": d, "od_minus": odm}
-    if not is_connected(g):
-        out["result"] = _skip("disconnected")
-        return out
-    if g.n == 2 and g.m == 1:
-        out["result"] = _skip("distinguishing index undefined for a single edge")
-        return out
-    if g.m > cap:
-        out["result"] = _skip(f"edge count {g.m} over cap {cap}")
-        return out
-    if d is None or odm is None and _needs_od_minus(which, d):
-        # computed on a twin of the corpus's graph, as in _verify_worker:
-        # nothing is parsed again, and the caches the checks fill leave
-        # with the twin; values the cache holds need no twin
-        d, odm = _settle(Graph(g.n, g.edges), which, cap, d, odm)
-        out["dprime"], out["od_minus"] = d, odm
+    """(d, odm) of a graph the triage passed on, computed on a twin of it.
+
+    As in _verify_worker, the caches the checks fill leave with the twin.
+    """
+    g, bits, which, cap, d, odm = args
+    return _settle(Graph(g.n, g.edges), bits, which, cap, d, odm)
+
+
+def _verdict(which: str, d: int, odm):
+    """A conjecture scan's result for a graph whose values are (d, odm)."""
     if which != "2" and d >= 4 and odm < d // 2:
-        out["result"] = _viol(
-            f"minimum over orientations at least {d // 2}", f"{odm}")
-    elif which != "1" and d == 2 and odm != 1:
-        out["result"] = _viol("a rigid orientation at index 2", f"{odm}")
-    else:
-        out["result"] = _PASS
-    return out
+        return _viol(f"minimum over orientations at least {d // 2}", f"{odm}")
+    if which != "1" and d == 2 and odm != 1:
+        return _viol("a rigid orientation at index 2", f"{odm}")
+    return _PASS
 
 
 def scan_conjectures(corpus: Corpus, which="both", *,
@@ -719,15 +717,12 @@ def scan_conjectures(corpus: Corpus, which="both", *,
     corpus's labels, which are the graphs' graph6 texts: the scan itself
     encodes nothing, so graphs of any order scan.
 
-    Values the cache lacks come from certificates first: for D', a
-    rigidity test, then the colouring that sets the least longest path
-    apart, then that path with one chord, each decided by the few maps
-    that could keep it; at D' = 2, Theorem 8 for a traceable graph,
-    then the claw-free construction, then the orientation of the
-    distinguishing 2-colouring found (see the module docstring).  Each
-    is a theorem or an exact symmetry test, so the report and the rows
-    are those the searches alone give; the searches run only for what
-    no certificate settles.
+    Values the cache lacks come from the certificates of the module
+    docstring first.  Each is a theorem or an exact symmetry test, so
+    the report and the rows are those the searches alone give.  Each
+    graph is triaged here; only those still lacking a value after the
+    skips become tasks, spread over jobs processes, so a warm rescan
+    starts none.
     """
     which = str(which)
     if which not in ("1", "2", "both"):
@@ -735,26 +730,38 @@ def scan_conjectures(corpus: Corpus, which="both", *,
     started = time.perf_counter()
     cache = _load_cache(cache_path) if cache_path else {}
 
-    tasks = [(g, which, edge_cap, *cache.get(label, (None, None)))
-             for g, label in zip(corpus.entries, corpus.labels)]
-    outs = _run_tasks(_scan_worker, tasks, jobs)
+    values, results, tasks, computed = [], [], [], []
+    for i, (g, label) in enumerate(zip(corpus.entries, corpus.labels)):
+        d, odm = cache.get(label, (None, None))
+        known = d is not None and (
+            odm is not None or not _needs_od_minus(which, d))
+        bits = None if known else neighbour_masks(g)
+        if bits is not None and reach(bits, 0) != (1 << g.n) - 1:
+            results.append(_skip("disconnected"))
+        elif g.n == 2 and g.m == 1:
+            results.append(
+                _skip("distinguishing index undefined for a single edge"))
+        elif g.m > edge_cap:
+            results.append(_skip(f"edge count {g.m} over cap {edge_cap}"))
+        else:
+            results.append(None)
+            if not known:
+                computed.append(i)
+                tasks.append((g, bits, which, edge_cap, d, odm))
+        values.append((d, odm))
+    for i, got in zip(computed, _run_tasks(_scan_worker, tasks, jobs)):
+        values[i] = got
 
     if cache_path:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        fresh = []
-        written = set()
-        for label, out in zip(corpus.labels, outs):
-            if label in written:
-                continue
-            if (out["dprime"], out["od_minus"]) == cache.get(label):
-                continue
-            if out["dprime"] is None and out["od_minus"] is None:
-                continue
-            fresh.append({"g6": label, "dprime": out["dprime"],
-                          "od_minus": out["od_minus"], "timestamp": stamp})
-            written.add(label)
-        _append_cache(cache_path, fresh)
+        fresh = {}  # by label: a repeated graph is written once
+        for label, (d, odm) in zip(corpus.labels, values):
+            if d is not None and label not in fresh \
+                    and (d, odm) != cache.get(label):
+                fresh[label] = {"g6": label, "dprime": d, "od_minus": odm,
+                                "timestamp": stamp}
+        _append_cache(cache_path, fresh.values())
 
     name = "conjectures" if which == "both" else f"conjecture{which}"
-    return _assemble(name, corpus.labels,
-                     [out["result"] for out in outs], started)
+    return _assemble(name, corpus.labels, [
+        r or _verdict(which, *v) for r, v in zip(results, values)], started)

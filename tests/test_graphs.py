@@ -327,6 +327,14 @@ class TestGraphBasics:
             with pytest.raises(ValueError):
                 Orientation(path_graph(3), bad)
 
+    def test_from_arcs_input_errors(self):
+        # an arc off the base, an edge directed twice, an edge left out
+        for arcs, says in (([(0, 2), (1, 2)], r"arc \(0, 2\)"),
+                           ([(0, 1), (1, 0)], "directed twice"),
+                           ([(0, 1)], "every edge")):
+            with pytest.raises(ValueError, match=says):
+                Orientation.from_arcs(path_graph(3), arcs)
+
 
 class TestStructure:
     def test_analyze_claw(self):

@@ -528,6 +528,80 @@ class TestScanConjectures:
         assert _stable(scan_conjectures(corpus, jobs=1)) == \
             _stable(scan_conjectures(corpus, jobs=2))
 
+    def test_warm_scan_settles_every_graph_from_its_row(self, tmp_path,
+                                                        monkeypatch):
+        # a cached row stands for the connectivity test: a warm scan
+        # computes no value, and tests connectivity only for the two
+        # graphs with no row, the single edge and K7 over the cap
+        corpus = Corpus.from_file(CONNECTED_1_7)
+        cache = tmp_path / "scan.jsonl"
+        masks, reached, settled = [_spy(monkeypatch, name) for name in
+                                   ("neighbour_masks", "reach", "_settle")]
+        cold = scan_conjectures(corpus, cache_path=cache)
+        assert len(masks) == len(reached) == len(corpus) == 996
+        assert len(settled) == 994
+        masks.clear()
+        reached.clear()
+        settled.clear()
+        assert _stable(scan_conjectures(corpus, cache_path=cache)) == \
+            _stable(cold)
+        assert [encode_graph6(g) for g in masks] == \
+            [s.graph6 for s in cold.skipped] == ["A_", "F~~~w"]
+        assert (len(reached), settled) == (2, [])
+
+    def test_cached_row_over_a_lower_cap_is_set_aside(self, tmp_path):
+        # K7 has 21 edges: a row written at cap 25 is set aside at cap 20,
+        # as a cold scan sets it aside
+        corpus = _corpus(path_graph(3), complete_graph(7))
+        cache = tmp_path / "scan.jsonl"
+        assert scan_conjectures(corpus, edge_cap=25, cache_path=cache).passed == 2
+        assert "F~~~w" in cache.read_text()
+        capped = scan_conjectures(corpus, edge_cap=20, cache_path=cache)
+        assert _stable(capped) == _stable(scan_conjectures(corpus, edge_cap=20))
+        assert [s.reason for s in capped.skipped] == ["edge count 21 over cap 20"]
+
+    def test_conjecture_2_after_conjecture_1_computes_the_missing_values(
+            self, tmp_path, monkeypatch):
+        # conjecture 1 needs no orientation minimum at D' = 2, so its rows
+        # lack one; a conjecture 2 scan on the same cache computes exactly
+        # those and reports as a scan with no cache does
+        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+        corpus = Corpus.from_graphs(graphs)
+        cache = tmp_path / "scan.jsonl"
+        scan_conjectures(corpus, "1", cache_path=cache)
+        first = {row["g6"]: row for row in _rows(cache)}
+        lacking = [g6 for g6, row in first.items()
+                   if row["dprime"] == 2 and row["od_minus"] is None]
+        assert lacking
+        settled = _spy(monkeypatch, "_settle")
+        second = scan_conjectures(corpus, "2", cache_path=cache)
+        assert sorted(map(encode_graph6, settled)) == sorted(lacking)
+        assert _stable(second) == _stable(scan_conjectures(corpus, "2"))
+        rows = _rows(cache)[len(first):]
+        assert sorted(row["g6"] for row in rows) == sorted(lacking)
+        assert all(row["od_minus"] == 1 for row in rows)
+
+    def test_warm_parallel_scan_starts_no_pool(self, tmp_path, monkeypatch):
+        # cached rows, a single edge, a disconnected graph and one over the
+        # cap: nothing is left for a worker, so no pool starts
+        import concurrent.futures
+        corpus = Corpus.from_graphs(
+            [g for n in range(1, 6) for g in connected_graphs(n)]
+            + [Graph(4, ()), complete_graph(7)])
+        cache = tmp_path / "scan.jsonl"
+        cold = scan_conjectures(corpus, cache_path=cache, jobs=2)
+        assert {s.reason for s in cold.skipped} == {
+            "disconnected", "distinguishing index undefined for a single edge",
+            "edge count 21 over cap 20"}
+        text = cache.read_text()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert _stable(scan_conjectures(corpus, cache_path=cache, jobs=2)) == \
+            _stable(cold)
+        assert cache.read_text() == text
+
 
 def _spy(monkeypatch, name):
     """Record the first argument of every call verify makes to name."""
@@ -759,7 +833,7 @@ class TestScanCertificates:
         cache = tmp_path / "scan.jsonl"
         corpus = _corpus(NET, PAW, SPIDER, path_graph(5), star_graph(4))
         first = scan_conjectures(corpus, cache_path=cache)
-        paths = _spy(monkeypatch, "longest_path")
+        paths = _spy(monkeypatch, "path_walk")
         assert _stable(scan_conjectures(corpus, cache_path=cache)) == \
             _stable(first)
         assert paths == []
