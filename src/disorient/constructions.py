@@ -483,7 +483,7 @@ def _clawfree_cut_vertex(g: Graph, bits: list[int], block: list[int],
     _expand(bits, po, order, skip=1 << v | 1 << u)
     checkpoint = po.arcs_snapshot()
     _finish_leftovers(g, po, skip=1 << u)
-    for w in sorted(g.adj[u]):
+    for w in _members(bits[u]):
         if not po.oriented(u, w):
             po.orient(u, w)
     o = Orientation.from_arcs(g, [po.arc[e] for e in range(g.m)])

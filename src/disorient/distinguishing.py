@@ -9,9 +9,10 @@ The search never materialises the automorphism group.  Candidate
 colourings are enumerated level by level (exactly k distinct colours at
 level k) in restricted-growth form, which picks one representative per
 colour-renaming class, and each candidate gets a colour-aware
-backtracking stabiliser test.  Interchangeable pendant edges at a
-shared support must receive pairwise distinct colours.  Three exact
-devices keep a candidate cheap; none changes the value or the witness:
+backtracking stabiliser test.  Leaves at one support, with their arcs
+one way for an orientation, are twins (search.twin_classes), so their
+edges must receive pairwise distinct colours.  Three exact devices keep
+a candidate cheap; none changes the value or the witness:
 
 - The input is refined once.  A partition equitable for a colouring is
   equitable for the uncoloured structure, so it refines the uncoloured
@@ -23,11 +24,10 @@ devices keep a candidate cheap; none changes the value or the witness:
   in their last positions, so it usually rejects the next one too.
   The first 64 distinct ones are kept, in the order found, so the set
   replayed, and the candidates it rejects, do not depend on the order.
-- The first width is a lower bound on the index.  t >= 2 vertices of a
-  graph with one open neighbourhood N are permuted freely by
-  automorphisms fixing everything else, so a distinguishing colouring
-  gives them t distinct colour vectors on N, and k ** |N| >= t.  No
-  width below the index has a witness to find.
+- The first width is a lower bound on the index.  t >= 2 twins with
+  the neighbourhood N, in a graph or an orientation alike, need t
+  distinct colour vectors on N in a distinguishing colouring, so
+  k ** |N| >= t.  No width below the index has a witness to find.
 
 Rooted and oriented trees are counted, not searched: the distinguishing
 colourings of a rooted tree, up to root-preserving automorphisms, have
@@ -46,7 +46,7 @@ from typing import Iterator
 from .graphs import (Graph, HungTree, Orientation, ShapeTable, hang,
                      is_connected, is_tree)
 from .groups import Permutation, edge_action, is_automorphism
-from .search import code_rows, equitable_labels, nontrivial_map
+from .search import code_rows, equitable_labels, nontrivial_map, twin_classes
 
 _BREAKER_CACHE_LIMIT = 64
 
@@ -197,12 +197,11 @@ def oriented_tree_colouring(o: Orientation, width: int) -> Colouring | None:
     exactly when its rooted classes do (see _classes_distinct), so no
     stabiliser search is made.
     """
-    m = o.base.m
     hung = o.base.hung
-    vec = o.vector
-    prior = _prior_twins(m, _twin_cliques(o))
-    for assignment in _candidate_strings(m, width, prior):
-        if _classes_distinct(hung, vec, assignment):
+    rows = code_rows(o)
+    prior = _prior_twins(o.base, rows, twin_classes(rows))
+    for assignment in _candidate_strings(o.base.m, width, prior):
+        if _classes_distinct(hung, o.vector, assignment):
             return Colouring(width, assignment)
     return None
 
@@ -229,33 +228,22 @@ def _classes_distinct(hung: HungTree, vec: int, assignment) -> bool:
     return len(set(kr)) == len(kr)
 
 
-def _twin_cliques(x: Graph | Orientation) -> list[list[int]]:
-    """Groups of pendant edges any two of which swap by an automorphism.
+def _prior_twins(g: Graph, rows, twins) -> tuple[tuple[int, ...], ...]:
+    """For each edge, the earlier edges it must not share a colour with.
 
-    Edges inside one group must get pairwise distinct colours in every
-    distinguishing colouring.  For an orientation only pendant arcs with
-    matching direction are interchangeable.
+    rows are the code rows of g or of an orientation of it, and twins
+    their twin classes.  A class with one neighbour s is a set of leaves
+    at s, with their arcs one way for an orientation, so its edges to s
+    are permuted freely and get pairwise distinct colours.
     """
-    g = x.base if isinstance(x, Orientation) else x
-    buckets: dict[tuple, list[int]] = {}
-    for i, (u, v) in enumerate(g.edges):
-        leaf, support = (u, v) if g.degree(u) == 1 else (v, u)
-        if g.degree(leaf) != 1 or g.n == 2:
-            continue
-        if isinstance(x, Orientation):
-            key = (support, x.vector >> i & 1 ^ (u == support))
-        else:
-            key = (support,)
-        buckets.setdefault(key, []).append(i)
-    return [edges for edges in buckets.values() if len(edges) >= 2]
-
-
-def _prior_twins(m: int, cliques: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    prior = [[] for _ in range(m)]
-    for clique in cliques:
-        for pos, i in enumerate(clique):
-            prior[i] = clique[:pos]
-    return tuple(tuple(p) for p in prior)
+    prior = [()] * g.m
+    for members in twins:
+        if len(rows[members[0]]) == 1:
+            support = rows[members[0]][0][0]
+            edges = [g.index_of(v, support) for v in members]
+            for pos, i in enumerate(edges):
+                prior[i] = tuple(edges[:pos])
+    return tuple(prior)
 
 
 def _candidate_strings(m: int, k: int,
@@ -294,26 +282,19 @@ def _candidate_strings(m: int, k: int,
             i += 1
 
 
-def _width_floor(x: Graph | Orientation, cliques: list[list[int]]) -> int:
+def _width_floor(rows, twins) -> int:
     """A lower bound on the index of a structure that is not rigid.
 
-    Vertices of a graph with one open neighbourhood N, t >= 2 of them,
-    are permuted freely by automorphisms that fix every other vertex, so
-    a distinguishing colouring gives them t distinct colour vectors on
-    N, and the index k has k ** |N| >= t.  Leaves at one support are
-    the case |N| = 1.  An orientation keeps only its pendant-arc
-    cliques, whose edges need pairwise distinct colours.
+    The t members of a twin class with the neighbourhood N are permuted
+    freely by symmetries that fix every other vertex, so a
+    distinguishing colouring gives them t distinct colour vectors on N,
+    and the index k has k ** |N| >= t.  Leaves at one support are the
+    case |N| = 1.
     """
-    floor = max([2] + [len(c) for c in cliques])
-    if isinstance(x, Graph):
-        twins: dict[frozenset[int], int] = {}
-        for nbrs in x.adj:
-            twins[nbrs] = twins.get(nbrs, 0) + 1
-        for nbrs, t in twins.items():
-            k = floor
-            while k ** len(nbrs) < t:
-                k += 1
-            floor = k
+    floor = 2
+    for members in twins:
+        while floor ** len(rows[members[0]]) < len(members):
+            floor += 1
     return floor
 
 
@@ -341,13 +322,13 @@ def _dprime_search(x: Graph | Orientation, *,
     if breaker is None:
         return DprimeResult(1, Colouring.constant(m))
 
-    cliques = _twin_cliques(x)
-    prior = _prior_twins(m, cliques)
+    twins = twin_classes(rows)
+    prior = _prior_twins(g, rows, twins)
     first = _moved(edge_action(g, Permutation(breaker))[0])
     cache = [first]
     admitted = {first}
     top = m if max_width is None else min(m, max_width)
-    for k in range(_width_floor(x, cliques), top + 1):
+    for k in range(_width_floor(rows, twins), top + 1):
         for assignment in _candidate_strings(m, k, prior):
             for pos, pairs in enumerate(cache):
                 for i, j in pairs:

@@ -10,7 +10,8 @@ corpus growth and the conjecture scan share: reach (a breadth-first
 search inside a vertex mask), path_walk (the least longest path inside
 a vertex mask), cycles (every simple cycle, in lexicographic order),
 has_independent_triple and has_claw (the claw test) and has_twins (the
-rigidity test's twin screen).  None fills Graph.adj.
+rigidity test's twin screen).  The masks are the one adjacency view:
+bipartition, tree_center and hang walk them too.
 """
 
 from __future__ import annotations
@@ -61,14 +62,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
@@ -76,15 +69,12 @@ class Graph:
     def hung(self) -> HungTree:
         """This tree hung from its first centre vertex (hang_centre).
 
-        Made on first use and kept with the graph, like adj, so the
-        questions asked of one tree (its case, its group, its sweep, its
-        witness colourings) hang it once.  Raises ValueError unless the
-        graph is a tree.
+        Made on first use and kept with the graph, so the questions
+        asked of one tree (its case, its group, its sweep, its witness
+        colourings) hang it once.  Raises ValueError unless the graph
+        is a tree.
         """
         return hang_centre(self)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -363,26 +353,27 @@ def is_connected(g: Graph) -> bool:
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Two-colouring with every edge crossing, or None.
 
-    The side containing the least vertex of each component is put in the
-    first class, which makes the result canonical.
+    Each component is walked layer by layer from its least vertex on
+    neighbour bitmasks, the layers going to the two sides in turn, so
+    the side containing the least vertex of each component is the first
+    class, which makes the result canonical.
     """
-    colour = [-1] * g.n
-    for s in range(g.n):
-        if colour[s] != -1:
-            continue
-        colour[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in g.adj[v]:
-                if colour[w] == -1:
-                    colour[w] = 1 - colour[v]
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    left = tuple(v for v in range(g.n) if colour[v] == 0)
-    right = tuple(v for v in range(g.n) if colour[v] == 1)
-    return left, right
+    bits = neighbour_masks(g)
+    sides = [0, 0]
+    todo = (1 << g.n) - 1
+    while todo:
+        layer, side = todo & -todo, 0
+        while layer:
+            todo ^= layer
+            sides[side] |= layer
+            nbrs = 0
+            for v in range(layer.bit_length()):
+                if layer >> v & 1:
+                    nbrs |= bits[v]
+            if nbrs & sides[side]:
+                return None
+            layer, side = nbrs & todo, 1 - side
+    return tuple(tuple(v for v in range(g.n) if mask >> v & 1) for mask in sides)
 
 
 def is_tree(g: Graph) -> bool:
@@ -553,38 +544,29 @@ def analyze(g: Graph) -> StructureReport:
 def tree_center(g: Graph) -> CenterInfo:
     """Centre of a tree by repeated leaf stripping.
 
-    Raises ValueError unless g is a tree, which the stripping itself
-    tells: with m = n - 1, a graph that is not a tree has a cycle, whose
-    vertices never become leaves, so a round finds no leaf while more
-    than two vertices remain.
+    A mask holds the vertices still in play; each round strips those
+    with at most one neighbour in it.  Raises ValueError unless g is a
+    tree, which the stripping itself tells: with m = n - 1, a graph that
+    is not a tree has a cycle, whose vertices never become leaves, so a
+    round finds no leaf while more than two vertices remain.
     """
     if g.m != g.n - 1:
         raise ValueError("tree_center requires a tree")
-    deg = [len(a) for a in g.adj]
-    stripped = [False] * g.n
-    leaves = [v for v in range(g.n) if deg[v] <= 1]
-    left = g.n
-    while left > 2:
+    bits = neighbour_masks(g)
+    alive = (1 << g.n) - 1
+    while alive.bit_count() > 2:
+        leaves = sum(1 << v for v in range(g.n)
+                     if alive >> v & 1 and (bits[v] & alive).bit_count() <= 1)
         if not leaves:
             raise ValueError("tree_center requires a tree")
-        left -= len(leaves)
-        for v in leaves:
-            stripped[v] = True
-        inner = []
-        for v in leaves:
-            for w in g.adj[v]:
-                if not stripped[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        inner.append(w)
-        leaves = inner
-    rest = [v for v in range(g.n) if not stripped[v]]
+        alive ^= leaves
+    rest = tuple(v for v in range(g.n) if alive >> v & 1)
     if len(rest) == 1:
-        return CenterInfo("vertex", (rest[0],))
+        return CenterInfo("vertex", rest)
     u, v = rest
-    if v not in g.adj[u]:
+    if not bits[u] >> v & 1:
         raise AssertionError("two-vertex centre must be an edge")
-    return CenterInfo("edge", (u, v))
+    return CenterInfo("edge", rest)
 
 
 class ShapeTable:
@@ -718,17 +700,23 @@ class HungTree:
 
 
 def hang(t: Graph, root: int) -> HungTree:
-    """The tree t hung from root by one breadth-first search."""
+    """The tree t hung from root by one breadth-first search on
+    neighbour bitmasks, which takes neighbours in ascending order."""
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} is not a vertex of a graph on {t.n} vertices")
+    bits = neighbour_masks(t)
     parent = [-1] * t.n
-    parent[root] = root
+    seen = 1 << root
     order = [root]
     for v in order:
-        for w in t.adj[v]:
-            if parent[w] == -1:
-                parent[w] = v
-                order.append(w)
+        fresh = bits[v] & ~seen
+        seen |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            w = low.bit_length() - 1
+            parent[w] = v
+            order.append(w)
     if t.m != t.n - 1 or len(order) != t.n:
         raise ValueError("only a tree can be hung from a root")
     return HungTree(t.n, root, tuple(

@@ -19,7 +19,7 @@ Aut(o) is the stabiliser of o's direction vector in Aut(g), so
 representative with no colouring search.  An orbit of size |Aut(g)| is
 rigid: index 1, constant colouring.  An orbit of size 1 has
 Aut(o) = Aut(g) and takes the graph's own result, witness included,
-since the candidate order and the twin cliques are the same.  For a
+since the candidate order and the twin classes are the same.  For a
 tree that result is the ceiling below: no automorphism of the tree
 then swaps its centre vertices, as a swap reverses the central arc.
 
@@ -42,12 +42,13 @@ stand for it.
 A sweep stops once each extreme it was asked for reaches a proven
 bound, and no later representative can beat the first to reach it:
 
-- Floor, for every graph: a vertex with p pendant neighbours has at
-  least ceil(p/2) pendant arcs pointing the same way in any
-  orientation.  When p >= 2, swapping two of their leaves is an
-  automorphism of the orientation that swaps the two arcs, so a
-  distinguishing colouring gives those arcs pairwise distinct colours.
-  The least index is at least the largest such ceil(p/2), and at least 1.
+- Floor, for every graph: p >= 2 leaves at one support, a twin class
+  with one neighbour (search.twin_classes), have at least ceil(p/2)
+  arcs pointing the same way in any orientation.  Swapping two of those
+  leaves is an automorphism of the orientation that swaps the two arcs,
+  so a distinguishing colouring gives those arcs pairwise distinct
+  colours.  The least index is at least the largest such ceil(p/2), and
+  at least 1.
 - Ceiling, for a tree: every automorphism of an oriented tree fixes the
   first centre vertex c, so it is a root-preserving automorphism of the
   undirected tree hung from c, and a colouring that breaks all of those
@@ -68,6 +69,7 @@ from .graphs import (Graph, Orientation, ShapeTable, encode_digraph6,
                      encode_graph6, is_connected)
 from .groups import (Permutation, automorphism_generators, edge_action,
                      orbit_minima, tree_automorphism_generators)
+from .search import code_rows, twin_classes
 
 DEFAULT_EDGE_CAP = 20
 
@@ -143,12 +145,13 @@ def _require_connected(g: Graph) -> None:
 
 
 def _pendant_floor(g: Graph) -> int:
-    """Largest ceil(p/2) over vertices with p pendant neighbours, at least 1.
+    """Largest ceil(p/2) over p >= 2 leaves at one support, at least 1.
 
     No orientation's index is below it (see the module docstring).
     """
-    return max([1] + [(sum(g.degree(w) == 1 for w in g.adj[v]) + 1) // 2
-                      for v in range(g.n)])
+    rows = code_rows(g)
+    return max([1] + [(len(c) + 1) // 2 for c in twin_classes(rows)
+                      if len(rows[c[0]]) == 1])
 
 
 def _sweep(g: Graph, edge_cap: int, *, least: bool = True, greatest: bool = True):

@@ -7,6 +7,7 @@ vertex pair, and every search takes the code rows that code_rows builds
 from the edges or arcs: each vertex's (neighbour, code) pairs, code 0
 standing for every pair not listed.  A symmetry phi must carry each
 pair (u, v) with code c onto a pair (phi(u), phi(v)) with the same code.
+Equal rows make twins (twin_classes), which symmetries permute freely.
 
 Candidate images are pruned by iterated neighbourhood-multiset refinement
 over the rows, so a round costs the number of arcs rather than n
@@ -53,6 +54,21 @@ def code_rows(x: Graph | Orientation, colours=None) -> list[list[tuple[int, int]
         rows[u].append((v, c))
         rows[v].append((u, back * c))
     return rows
+
+
+def twin_classes(rows) -> list[list[int]]:
+    """Each class of two or more vertices with equal code rows, ascending.
+
+    A row lists its pairs in ascending neighbour order, so equal rows
+    mean the same neighbours with the same codes: open twins of a graph,
+    vertices with equal out- and equal in-neighbourhoods of an
+    orientation.  Members of a class are never adjacent, so any
+    permutation of a class that fixes every other vertex is a symmetry.
+    """
+    classes: dict[tuple, list[int]] = {}
+    for v, row in enumerate(rows):
+        classes.setdefault(tuple(row), []).append(v)
+    return [c for c in classes.values() if len(c) > 1]
 
 
 def equitable_labels(rows, start=None) -> tuple[int, ...]:

@@ -35,13 +35,13 @@ few symmetries of the cycle with at most two tails they make, on a
 shorter one by the exact stabiliser test.  A hit gives D' = 2.  At
 D' = 2 a Hamiltonian path gives a rigid orientation with none built
 (Theorem 8): along it, position i reaches exactly the n - i vertices
-from i on.  For claw-free graphs on six or more vertices the claw-free
-construction (Theorem 12) comes next; it raises ConstructionError when
-its output keeps a symmetry.  Then the distinguishing 2-colouring
-found, by a certificate or by dprime, is oriented: each colour-1 edge
-in its canonical direction, each colour-2 edge reversed, and is_rigid
-tests the result.  What no certificate settles is searched as before:
-dprime, then find_rigid_orientation, then od_minus.
+from i on.  Otherwise the distinguishing 2-colouring found, by a
+certificate or by dprime, is oriented: each colour-1 edge in its
+canonical direction, each colour-2 edge reversed, and is_rigid tests
+the result; through n = 9 it settles every graph the claw-free
+construction (Theorem 12) settles, so that is not tried.  What no
+certificate settles is searched as before: dprime, then
+find_rigid_orientation, then od_minus.
 """
 
 from __future__ import annotations
@@ -63,10 +63,11 @@ from .constructions import (CENTRAL_EDGE_SWAPPED, ConstructionError,
 from .distinguishing import Colouring, dprime, is_distinguishing
 from .graphs import (FormatError, Graph, Orientation, bipartition, cycles,
                      encode_digraph6, encode_graph6, hamiltonian_path,
-                     has_claw, has_twins, is_claw_free, is_connected,
+                     has_twins, is_claw_free, is_connected,
                      neighbour_masks, parse, path_walk, reach)
 from .groups import (NOT_FIXED, automorphism_generators, automorphisms,
-                     fixed_set_status, is_automorphism, is_rigid, is_twisted)
+                     fixed_set_status, is_automorphism, is_rigid, is_twisted,
+                     nontrivial_automorphism)
 from .orientations import (DEFAULT_EDGE_CAP, enumerate_orientations,
                            find_rigid_orientation, od_extremes, od_minus)
 
@@ -486,6 +487,11 @@ def _stamp(path: str) -> tuple[int, int, int, int] | None:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
+def _is_index(value) -> bool:
+    """Whether a cached value can be an index: an int, not a bool, >= 1."""
+    return type(value) is int and value >= 1
+
+
 def _load_cache(path) -> dict[str, tuple]:
     """(dprime, od_minus) by graph6 key, read once per file state.
 
@@ -507,8 +513,12 @@ def _load_cache(path) -> dict[str, tuple]:
             continue
         try:
             row = json.loads(line)
-            rows[row["g6"]] = row.get("dprime"), row.get("od_minus")
+            key, d, odm = row["g6"], row["dprime"], row.get("od_minus")
         except (json.JSONDecodeError, TypeError, KeyError, AttributeError):
+            key = None
+        if type(key) is str and _is_index(d) and (odm is None or _is_index(odm)):
+            rows[key] = d, odm
+        else:
             warnings.warn(f"cache {p}: skipping corrupt line {i}")
     _CACHE_MEMO.clear()
     _CACHE_MEMO[p] = stamp, rows
@@ -628,27 +638,20 @@ def _two_colouring(g: Graph, bits, path) -> Colouring | None:
 
 
 def _certified_rigid(g: Graph, bits, path, witness: Colouring | None) -> bool:
-    """Whether g orients rigidly, by Theorem 8, a construction or witness.
+    """Whether g orients rigidly, by Theorem 8 or the index witness.
 
     bits are g's neighbour masks, path a longest path or None before one
     is walked, and witness a distinguishing 2-colouring or None.  A path
-    through every vertex settles it with no orientation built.  The
-    claw-free construction checks its own output for symmetry and raises
-    ConstructionError when it finds one; the witness's orientation, each
-    colour-1 edge in its canonical direction and each colour-2 edge
-    reversed, is tested with is_rigid.  So True is exact.
+    through every vertex settles it with no orientation built; otherwise
+    the witness's orientation, each colour-1 edge in its canonical
+    direction and each colour-2 edge reversed, is tested with is_rigid.
+    So True is exact.
     """
     if len(path or path_walk(bits, (1 << g.n) - 1)) == g.n:
         # Theorem 8: along the path, the vertex at position i reaches
         # exactly the n - i vertices from i on, so reach counts differ
         # and every automorphism is the identity
         return True
-    if g.n >= 6 and not has_claw(bits):
-        try:
-            clawfree_rigid_orientation_trace(g)
-            return True
-        except ConstructionError:
-            pass
     return witness is not None and is_rigid(Orientation(
         g, sum(1 << i for i, c in enumerate(witness.assignment) if c == 2)))
 
@@ -669,7 +672,7 @@ def _settle(g: Graph, bits, which: str, cap: int, d, odm):
     """
     path = witness = None  # a longest path, computed at most once
     if d is None:
-        if not has_twins(bits) and is_rigid(g):
+        if not has_twins(bits) and nontrivial_automorphism(g) is None:
             d = 1
         else:
             path = path_walk(bits, (1 << g.n) - 1)

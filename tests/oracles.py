@@ -233,15 +233,38 @@ def brute_least_longest_path(g: Graph) -> tuple[int, ...]:
     raise AssertionError("a graph has at least one vertex")
 
 
+def neighbours(g: Graph) -> list[set[int]]:
+    """Each vertex's neighbours, read off the edge list."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def brute_bipartition(g: Graph):
+    """The first proper 2-colouring in lexicographic order, as its two
+    classes, or None.  It gives colour 0 to each component's least
+    vertex, since flipping a component's colours keeps a colouring
+    proper."""
+    for colour in product((0, 1), repeat=g.n):
+        if all(colour[u] != colour[v] for u, v in g.edges):
+            return tuple(tuple(v for v in range(g.n) if colour[v] == c)
+                         for c in (0, 1))
+    return None
+
+
 def brute_tree_centre(t: Graph) -> tuple[int, ...]:
     """Vertices of least eccentricity, via pairwise BFS distances."""
+    nbrs = neighbours(t)
+
     def ecc(v: int) -> int:
         dist = {v: 0}
         frontier = [v]
         while frontier:
             nxt = []
             for u in frontier:
-                for w in t.adj[u]:
+                for w in nbrs[u]:
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         nxt.append(w)
@@ -345,11 +368,12 @@ def digraph6_arcs(text: str) -> tuple[int, list[tuple[int, int]]]:
 
 def rooted_children(t: Graph, root: int) -> list[list[int]]:
     kids: list[list[int]] = [[] for _ in range(t.n)]
+    nbrs = neighbours(t)
     par = {root: root}
     stack = [root]
     while stack:
         v = stack.pop()
-        for w in sorted(t.adj[v]):
+        for w in sorted(nbrs[v]):
             if w not in par:
                 par[w] = v
                 kids[v].append(w)

@@ -29,8 +29,14 @@ from disorient import (
     star_graph,
     trees,
 )
-from disorient.distinguishing import (_candidate_strings, _prior_twins,
-                                      _twin_cliques, _width_floor)
+from disorient.distinguishing import _candidate_strings, _width_floor
+from disorient.search import code_rows, twin_classes
+
+
+def _floor(x) -> int:
+    """The first width the index search tries on x."""
+    rows = code_rows(x)
+    return _width_floor(rows, twin_classes(rows))
 
 
 def _directed_triangle():
@@ -199,13 +205,17 @@ class TestDprime:
 class TestCandidates:
     def test_candidate_strings_match_filter(self):
         for m in range(0, 7):
-            groups = [[]]  # disjoint cliques, as _twin_cliques gives them
+            groups = [[]]  # disjoint cliques of edges, each ascending
             if m >= 3:
                 groups += [[[0, m - 1]], [list(range(m))]]
             if m >= 4:
                 groups.append([[0, 2], [1, 3]])
             for cliques in groups:
-                prior = _prior_twins(m, cliques)
+                # each edge is banned the colours of its clique's earlier edges
+                prior = [()] * m
+                for clique in cliques:
+                    for pos, i in enumerate(clique):
+                        prior[i] = tuple(clique[:pos])
                 for k in range(1, 5):
                     assert list(_candidate_strings(m, k, prior)) == \
                         oracles.restricted_growth_strings(m, k, cliques), (m, k, cliques)
@@ -213,27 +223,35 @@ class TestCandidates:
     def test_width_floor_below_the_index(self):
         for n in range(3, 8):
             for g in connected_graphs(n):
-                r = dprime(g)
-                if r.value == 1:
-                    continue  # the floor bounds structures that are not rigid
-                floor = _width_floor(g, _twin_cliques(g))
-                assert floor <= r.value, encode_graph6(g)
-                if n <= 5:
-                    assert floor <= oracles.brute_dprime(g), encode_graph6(g)
+                xs = [(g, "-")]
+                if n <= 6:
+                    xs += [(o, o.vector) for o in enumerate_orientations(g)]
+                for x, tag in xs:
+                    r = dprime(x)
+                    if r.value == 1:
+                        continue  # the floor bounds structures that are not rigid
+                    floor = _floor(x)
+                    assert floor <= r.value, (encode_graph6(g), tag)
+                    if n <= 5:
+                        assert floor <= oracles.brute_dprime(x), (encode_graph6(g), tag)
 
     def test_open_twins_raise_the_floor(self):
         # five vertices share the neighbourhood {0, 1}: 5 colour vectors
         # on 2 edges need 3 colours, and the floor is the index
         g = complete_bipartite_graph(2, 5)
-        assert _width_floor(g, _twin_cliques(g)) == 3 == dprime(g).value
-        assert _width_floor(star_graph(4), []) == 4
-        # orientations keep only their pendant-arc cliques
+        assert _floor(g) == 3 == dprime(g).value
+        assert _floor(star_graph(4)) == 4
+        # with every arc leaving {0, 1}, the five keep equal out- and
+        # in-neighbourhoods, so they are twins of the orientation too
+        o = Orientation(g, 0)
+        assert _floor(o) == 3 == dprime(o).value
         for o in enumerate_orientations(g):
-            assert _width_floor(o, _twin_cliques(o)) == 2
+            assert 2 <= _floor(o) <= dprime(o).value, o.vector
+        # leaves at one support are twins when their arcs point one way
         o = Orientation(star_graph(4), 0b0011)
-        assert _width_floor(o, _twin_cliques(o)) == 2
+        assert _floor(o) == 2
         o = Orientation(star_graph(4), 0b0001)
-        assert _width_floor(o, _twin_cliques(o)) == 3
+        assert _floor(o) == 3
 
 
 class TestRooted:

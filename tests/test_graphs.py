@@ -365,6 +365,19 @@ class TestStructure:
         left, right = bipartition(cycle_graph(6))
         assert sorted(map(sorted, (left, right))) == [[0, 2, 4], [1, 3, 5]]
 
+    def test_bipartition_vs_brute_colouring(self):
+        # every labelled graph on at most 5 vertices, connected or not
+        split = 0
+        for n in range(1, 6):
+            pairs = [(i, j) for j in range(1, n) for i in range(j)]
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, tuple(sorted(p for k, p in enumerate(pairs)
+                                          if mask >> k & 1)))
+                want = oracles.brute_bipartition(g)
+                assert bipartition(g) == want, g.edges
+                split += want is not None
+        assert 0 < split < 1 + 2 + 8 + 64 + 1024
+
     def test_predicates(self):
         assert is_tree(path_graph(5))
         assert not is_tree(cycle_graph(5))

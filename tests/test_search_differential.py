@@ -7,7 +7,8 @@ and the generators and group order from strong_generators.  On up to
 seven vertices, the code rows must hold each edge's or arc's code at
 both of its ends, and refinement started from the uncoloured labels must
 reach the cells the unit partition gives.  Runs are derandomised so
-every run draws the same examples.
+every run draws the same examples.  Twin classes are checked
+exhaustively on small corpora against a grouping built from the edges.
 """
 
 from itertools import combinations
@@ -16,10 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from disorient import Graph, Orientation, are_isomorphic, cycle_graph
+from disorient import (Graph, Orientation, are_isomorphic, connected_graphs,
+                       cycle_graph, enumerate_orientations)
 from disorient import search
 from disorient.search import (code_rows, equitable_labels, find_maps,
-                              strong_generators)
+                              strong_generators, twin_classes)
 
 MAX_N = 6
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -172,6 +174,31 @@ def test_relabelled_graph_is_isomorphic(g, data):
           Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])))
 def test_isomorphism_matches_oracle_on_equal_degrees(pair):
     g, h = pair
-    assert sorted(g.degree(v) for v in range(g.n)) == \
-        sorted(h.degree(v) for v in range(h.n))
+    assert sorted(sum(v in e for e in g.edges) for v in range(g.n)) == \
+        sorted(sum(v in e for e in h.edges) for v in range(h.n))
     assert are_isomorphic(g, h) == oracles.brute_isomorphic(g, h)
+
+
+def _brute_twins(x) -> list[list[int]]:
+    """Classes of two or more vertices with equal out-sets and equal
+    in-sets, an edge counting as both arcs, by their least members."""
+    if isinstance(x, Orientation):
+        n, arcs = x.base.n, x.arcs
+    else:
+        n, arcs = x.n, [a for u, v in x.edges for a in ((u, v), (v, u))]
+    key = [(frozenset(h for t, h in arcs if t == v),
+            frozenset(t for t, h in arcs if h == v)) for v in range(n)]
+    classes = [[w for w in range(n) if key[w] == key[v]] for v in range(n)]
+    return [c for v, c in enumerate(classes) if len(c) > 1 and c[0] == v]
+
+
+def test_twin_classes_match_the_edges():
+    classes = 0
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            xs = [g] + (enumerate_orientations(g) if n <= 5 else [])
+            for x in xs:
+                want = _brute_twins(x)
+                assert twin_classes(code_rows(x)) == want, (g.edges, x)
+                classes += len(want)
+    assert classes > 0

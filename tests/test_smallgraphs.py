@@ -50,7 +50,7 @@ def _digest(corpora) -> str:
 
 
 def _bits(g: Graph) -> list[int]:
-    return [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+    return [sum(1 << u for u in nbrs) for nbrs in oracles.neighbours(g)]
 
 
 def _child(g: Graph, mask: int) -> Graph:
@@ -294,4 +294,4 @@ class TestBuilders:
     def test_double_star(self):
         g = double_star(1, 2)
         assert g.n == 5
-        assert g.degree(0) == 2 and g.degree(1) == 3
+        assert [sum(v in e for e in g.edges) for v in (0, 1)] == [2, 3]

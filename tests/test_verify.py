@@ -11,12 +11,11 @@ from pathlib import Path
 import pytest
 
 import oracles
-from disorient import graphs, groups, verify
+from disorient import graphs, verify
 from disorient import (
     CLAIMS,
     THEOREM_IDS,
     Colouring,
-    ConstructionError,
     Corpus,
     FormatError,
     Graph,
@@ -466,6 +465,27 @@ class TestScanConjectures:
                                      "dprime": 2, "od_minus": 2}) + "\n")
         assert not scan_conjectures(corpus, "2", cache_path=cache).ok
 
+    @pytest.mark.parametrize("row", [
+        {"g6": "Bw", "dprime": "3", "od_minus": 2},
+        {"g6": "Bw", "dprime": True, "od_minus": None},
+        {"g6": "Bw", "dprime": 2.0, "od_minus": None},
+        {"g6": "Bw", "dprime": 0},
+        {"g6": "Bw", "od_minus": None},
+        {"g6": "Bw", "dprime": 3, "od_minus": False},
+        {"g6": "Bw", "dprime": 3, "od_minus": "1"},
+        {"g6": 5, "dprime": 3},
+        ["Bw", 3],
+    ])
+    def test_wrongly_typed_row_is_skipped_and_recomputed(self, tmp_path, row):
+        cache = tmp_path / "scan.jsonl"
+        cache.write_text(json.dumps(row) + "\n")
+        with pytest.warns(UserWarning, match="corrupt line 1"):
+            r = scan_conjectures(Corpus.from_lines(["Bw"]), cache_path=cache)
+        assert r.ok and r.passed == 1
+        fresh = [json.loads(line) for line in cache.read_text().splitlines()[1:]]
+        assert [(f["g6"], f["dprime"], f["od_minus"]) for f in fresh] == \
+            [("Bw", 3, None)]
+
     def test_corrupt_line_warns_on_the_read_that_sees_it(self, tmp_path):
         cache = tmp_path / "scan.jsonl"
         corpus = _corpus(complete_graph(3))
@@ -703,41 +723,25 @@ class TestScanCertificates:
         (K24_TAIL, False, True),
     ])
     def test_which_values_are_searched(self, monkeypatch, g, searched, swept):
-        # the searches made inside the scan's rigidity test of the graph,
-        # and the orientations it tests
-        rigidity_searches = []
-        oriented = []
-        inside = []
-        rigid, search = verify.is_rigid, groups.nontrivial_map
-
-        def rigid_spy(x):
-            if isinstance(x, Orientation):
-                oriented.append(x)
-            inside.append(x)
-            result = rigid(x)
-            inside.pop()
-            return result
-
-        def search_spy(codes):
-            if inside and isinstance(inside[-1], Graph):
-                rigidity_searches.append(codes)
-            return search(codes)
-        monkeypatch.setattr(verify, "is_rigid", rigid_spy)
-        monkeypatch.setattr(groups, "nontrivial_map", search_spy)
+        # the scan's symmetry searches of the graph, after its twin
+        # screen, and the structures it tests with is_rigid
+        rigidity_searches = _spy(monkeypatch, "nontrivial_automorphism")
+        tested = _spy(monkeypatch, "is_rigid")
         index = _spy(monkeypatch, "dprime")
         sweeps = _spy(monkeypatch, "find_rigid_orientation")
         clawfree = _spy(monkeypatch, "clawfree_rigid_orientation_trace")
         assert dprime(g).value == 2
         assert scan_conjectures(_corpus(g)).passed == 1
         assert (len(index), len(sweeps)) == (int(searched), int(swept))
-        assert len(clawfree) == int(g is NET)
+        assert clawfree == []
         # the others have twins, so only these are searched
         assert len(rigidity_searches) == int(
             g in (NET, path_graph(5), LONG_LEGS))
-        # the index witness is oriented for the graphs with no Hamiltonian
-        # path that the claw-free construction leaves
-        assert len(oriented) == int(
-            g in (SPIDER, LONG_LEGS, TWO_TAILS, K24_TAIL))
+        # is_rigid tests only the index witness's orientation, for the
+        # graphs with no Hamiltonian path
+        assert all(isinstance(x, Orientation) for x in tested)
+        assert len(tested) == int(
+            g in (NET, SPIDER, LONG_LEGS, TWO_TAILS, K24_TAIL))
 
     def test_cold_scan_search_counts(self, monkeypatch):
         # what the certificates leave to the searches, n <= 7: a regression
@@ -757,7 +761,7 @@ class TestScanCertificates:
         cache = tmp_path / "scan.jsonl"
         for _ in range(2):  # cold, then warm
             assert scan_conjectures(corpus, cache_path=cache).ok
-            assert not any(vars(g).keys() & {"adj", "edge_index"}
+            assert not any(vars(g).keys() & {"edge_index", "hung"}
                            for g in graphs)
 
     def test_closed_forms_equal_the_stabiliser_test(self):
@@ -775,34 +779,6 @@ class TestScanCertificates:
         for g, _, colours, kept in _path_decisions(6):
             assert kept == (oracles.colour_keeping_map(g, colours) is not None), \
                 (encode_graph6(g), colours)
-
-    @pytest.mark.parametrize("name", ["clawfree_rigid_orientation_trace"])
-    def test_failed_construction_falls_back_to_the_sweep(self, monkeypatch,
-                                                         tmp_path, name):
-        # n <= 6 includes the net, which the claw-free step settles first
-        corpus = Corpus.from_graphs(
-            g for n in range(1, 7) for g in connected_graphs(n))
-        # the steps after the constructions: the index witness's
-        # orientation, then the sweep
-        later = _spy(monkeypatch, "find_rigid_orientation")
-        rigid = verify.is_rigid
-
-        def rigid_spy(x):
-            if isinstance(x, Orientation):
-                later.append(x)
-            return rigid(x)
-        monkeypatch.setattr(verify, "is_rigid", rigid_spy)
-        want = _stable(scan_conjectures(corpus, cache_path=tmp_path / "a"))
-        reached = len(later)
-        later.clear()
-
-        def broken(g, *args):
-            raise ConstructionError("orientation kept a symmetry")
-        monkeypatch.setattr(verify, name, broken)
-        got = scan_conjectures(corpus, cache_path=tmp_path / "b")
-        assert got.ok and _stable(got) == want
-        assert len(later) > reached
-        assert _rows(tmp_path / "a") == _rows(tmp_path / "b")
 
     def test_traceable_graphs_orient_by_theorem_8(self, monkeypatch):
         # a traceable graph at D' = 2 is settled with no orientation built
