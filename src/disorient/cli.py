@@ -194,7 +194,9 @@ def _text_lines(payload: dict, prefix: str = "") -> list[str]:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("json", "text"), default="text")
-    common.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
+
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
 
     graphish = argparse.ArgumentParser(add_help=False)
     graphish.add_argument("graph", help="graph6/digraph6/edgelist text or @file")
@@ -214,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="distinguishing index with a witness colouring")
     p.set_defaults(run=_cmd_dprime)
 
-    p = sub.add_parser("od", parents=[common, graphish],
+    p = sub.add_parser("od", parents=[common, capped, graphish],
                        help="extremes of the index over orientations")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--min", action="store_true")
@@ -240,14 +242,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(run=_cmd_kmn)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, capped],
                        help="check one named claim over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("conjecture", parents=[common],
+    p = sub.add_parser("conjecture", parents=[common, capped],
                        help="scan a corpus for conjecture counterexamples")
     p.add_argument("--corpus", required=True)
     p.add_argument("--which", choices=("1", "2", "both"), default="both")

@@ -9,10 +9,8 @@ The search never materialises the automorphism group.  Candidate
 colourings are enumerated level by level (exactly k distinct colours at
 level k) in restricted-growth form, which picks one representative per
 colour-renaming class, and each candidate gets a colour-aware
-backtracking stabiliser test.  Leaves at one support, with their arcs
-one way for an orientation, are twins (search.twin_classes), so their
-edges must receive pairwise distinct colours.  Three exact devices keep
-a candidate cheap; none changes the value or the witness:
+backtracking stabiliser test.  Three exact devices keep the search
+short; none changes the value or the witness:
 
 - The input is refined once.  A partition equitable for a colouring is
   equitable for the uncoloured structure, so it refines the uncoloured
@@ -24,10 +22,21 @@ a candidate cheap; none changes the value or the witness:
   in their last positions, so it usually rejects the next one too.
   The first 64 distinct ones are kept, in the order found, so the set
   replayed, and the candidates it rejects, do not depend on the order.
-- The first width is a lower bound on the index.  t >= 2 twins with
-  the neighbourhood N, in a graph or an orientation alike, need t
-  distinct colour vectors on N in a distinguishing colouring, so
-  k ** |N| >= t.  No width below the index has a witness to find.
+- Twins bound the walk.  t >= 2 twins (search.twin_classes: equal code
+  rows, in a graph or an orientation alike) with the neighbourhood N
+  need t distinct colour vectors on N, so no width k with k ** |N| < t
+  has a witness.  And they come in order.  Let u < v be consecutive
+  twins with neighbours x_0 < x_1 < ...; swapping them is a symmetry s.
+  The first distinguishing restricted-growth string c with exactly k
+  colours has c <= RGS(c.s) <= c.s, as c.s distinguishes with the same
+  colours and renaming them in order of first use gives no later
+  string.  c and c.s differ only on the edges x u and x v; in edge
+  order x u comes before x v and each family ascends in x, so u's
+  colour vector on the x_j is lexicographically below v's, strictly,
+  since equal vectors would let s keep c.  That comparison reads only
+  edges before x_j v, so the walk bounds x_j v from below as it reaches
+  it, at every width.  Leaves at one support are the case |N| = 1:
+  their colours strictly increase.
 
 Rooted and oriented trees are counted, not searched: the distinguishing
 colourings of a rooted tree, up to root-preserving automorphisms, have
@@ -199,8 +208,8 @@ def oriented_tree_colouring(o: Orientation, width: int) -> Colouring | None:
     """
     hung = o.base.hung
     rows = code_rows(o)
-    prior = _prior_twins(o.base, rows, twin_classes(rows))
-    for assignment in _candidate_strings(o.base.m, width, prior):
+    order = _twin_rules(o.base, rows, twin_classes(rows))[1]
+    for assignment in _candidate_strings(o.base.m, width, order):
         if _classes_distinct(hung, o.vector, assignment):
             return Colouring(width, assignment)
     return None
@@ -228,29 +237,33 @@ def _classes_distinct(hung: HungTree, vec: int, assignment) -> bool:
     return len(set(kr)) == len(kr)
 
 
-def _prior_twins(g: Graph, rows, twins) -> tuple[tuple[int, ...], ...]:
-    """For each edge, the earlier edges it must not share a colour with.
+def _twin_rules(g: Graph, rows, twins) -> tuple[int, tuple[tuple, ...]]:
+    """The first width and the twin order of the module docstring.
 
     rows are the code rows of g or of an orientation of it, and twins
-    their twin classes.  A class with one neighbour s is a set of leaves
-    at s, with their arcs one way for an orientation, so its edges to s
-    are permuted freely and get pairwise distinct colours.
+    their twin classes.  For consecutive members u < v with neighbours
+    x_0 < x_1 < ..., edge x_j v gets (us, vs, strict): u's edges to
+    x_0..x_j, v's edges to x_0..x_(j-1), and whether x_j is the last.
+    Where us[:-1] and vs agree, x_j v takes at least us[-1] + strict.
     """
-    prior = [()] * g.m
+    floor = 2
+    order = [()] * g.m
     for members in twins:
-        if len(rows[members[0]]) == 1:
-            support = rows[members[0]][0][0]
-            edges = [g.index_of(v, support) for v in members]
-            for pos, i in enumerate(edges):
-                prior[i] = tuple(edges[:pos])
-    return tuple(prior)
+        nbrs = [x for x, _ in rows[members[0]]]
+        while floor ** len(nbrs) < len(members):
+            floor += 1
+        for u, v in zip(members, members[1:]):
+            us = tuple(g.index_of(x, u) for x in nbrs)
+            vs = tuple(g.index_of(x, v) for x in nbrs)
+            for j, i in enumerate(vs):
+                order[i] += ((us[:j + 1], vs[:j], j == len(nbrs) - 1),)
+    return floor, tuple(order)
 
 
-def _candidate_strings(m: int, k: int,
-                       prior: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
+def _candidate_strings(m: int, k: int, order) -> Iterator[tuple[int, ...]]:
     """Restricted-growth strings of length m with exactly k values.
 
-    Positions listed in prior must differ from their listed partners.
+    Each position keeps the twin comparisons order lists for it.
     Strings come in lexicographic order.  The walk is iterative, so a
     string costs the positions that change from the one before, not m
     generator frames.
@@ -263,10 +276,11 @@ def _candidate_strings(m: int, k: int,
     while i >= 0:
         c = assignment[i] + 1
         top = most[i] + 1 if most[i] < k else k
-        if prior[i]:
-            banned = {assignment[j] for j in prior[i]}
-            while c in banned:
-                c += 1
+        for us, vs, strict in order[i]:
+            least = assignment[us[-1]] + strict
+            if least > c and all(assignment[a] == assignment[b]
+                                 for a, b in zip(us, vs)):
+                c = least
         if c > top:
             assignment[i] = 0
             i -= 1
@@ -282,22 +296,6 @@ def _candidate_strings(m: int, k: int,
             i += 1
 
 
-def _width_floor(rows, twins) -> int:
-    """A lower bound on the index of a structure that is not rigid.
-
-    The t members of a twin class with the neighbourhood N are permuted
-    freely by symmetries that fix every other vertex, so a
-    distinguishing colouring gives them t distinct colour vectors on N,
-    and the index k has k ** |N| >= t.  Leaves at one support are the
-    case |N| = 1.
-    """
-    floor = 2
-    for members in twins:
-        while floor ** len(rows[members[0]]) < len(members):
-            floor += 1
-    return floor
-
-
 def _moved(eperm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i, j in enumerate(eperm) if i != j)
 
@@ -309,8 +307,8 @@ def _dprime_search(x: Graph | Orientation, *,
     The three devices of the module docstring, in turn: plain holds the
     uncoloured equitable labels, the start of every candidate's
     refinement; cache holds the replayed breakers, most recent hit
-    first, and admitted the set of them; _width_floor gives the first
-    width.
+    first, and admitted the set of them; _twin_rules gives the first
+    width and the twin order.
     """
     g = x.base if isinstance(x, Orientation) else x
     m = g.m
@@ -322,14 +320,13 @@ def _dprime_search(x: Graph | Orientation, *,
     if breaker is None:
         return DprimeResult(1, Colouring.constant(m))
 
-    twins = twin_classes(rows)
-    prior = _prior_twins(g, rows, twins)
+    floor, order = _twin_rules(g, rows, twin_classes(rows))
     first = _moved(edge_action(g, Permutation(breaker))[0])
     cache = [first]
     admitted = {first}
     top = m if max_width is None else min(m, max_width)
-    for k in range(_width_floor(rows, twins), top + 1):
-        for assignment in _candidate_strings(m, k, prior):
+    for k in range(floor, top + 1):
+        for assignment in _candidate_strings(m, k, order):
             for pos, pairs in enumerate(cache):
                 for i, j in pairs:
                     if assignment[i] != assignment[j]:

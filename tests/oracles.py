@@ -91,45 +91,25 @@ def brute_dprime(x, max_width: int | None = None) -> int:
     raise AssertionError("no distinguishing colouring within the width bound")
 
 
-def _pendant_groups(x) -> list[list[int]]:
-    """Pendant edges at one support (and, oriented, one direction), two or more."""
-    g = x.base if isinstance(x, Orientation) else x
-    degree = [sum(v in e for e in g.edges) for v in range(g.n)]
-    groups: dict[tuple, list[int]] = {}
-    for i, (u, v) in enumerate(g.edges):
-        if g.n == 2 or 1 not in (degree[u], degree[v]):
-            continue
-        support = v if degree[u] == 1 else u
-        key = (support,)
-        if isinstance(x, Orientation):
-            key = (support, x.arcs[i][0] == support)
-        groups.setdefault(key, []).append(i)
-    return [group for group in groups.values() if len(group) > 1]
-
-
-def restricted_growth_strings(m: int, width: int, groups) -> list[tuple[int, ...]]:
+def restricted_growth_strings(m: int, width: int) -> list[tuple[int, ...]]:
     """Strings over 1..width using every colour, in lexicographic order.
 
-    Each colour is at most one above every colour before it, and the
-    positions of each group get pairwise distinct colours.
+    Each colour is at most one above every colour before it.
     """
     return [a for a in product(range(1, width + 1), repeat=m)
             if len(set(a)) == width
-            and all(c <= 1 + max(a[:i], default=0) for i, c in enumerate(a))
-            and all(len({a[i] for i in group}) == len(group) for group in groups)]
+            and all(c <= 1 + max(a[:i], default=0) for i, c in enumerate(a))]
 
 
 def brute_first_distinguishing(x, width: int) -> tuple[int, ...] | None:
     """First distinguishing colouring with exactly width colours, or None.
 
-    Candidates are the restricted-growth strings whose pendant edges at
-    one support, of one direction for an orientation, have pairwise
-    distinct colours.
+    Candidates are all the restricted-growth strings, in order.
     """
     g = x.base if isinstance(x, Orientation) else x
     eperms = [edge_perm_of(g, img) for img in brute_automorphism_images(x)
               if img != tuple(range(g.n))]
-    for a in restricted_growth_strings(g.m, width, _pendant_groups(x)):
+    for a in restricted_growth_strings(g.m, width):
         if all(any(a[ep[i]] != a[i] for i in range(g.m)) for ep in eperms):
             return a
     return None

@@ -102,6 +102,17 @@ class TestInputForms:
         err = capsys.readouterr().err
         assert err.startswith("error:")
 
+    def test_edge_cap_only_where_read(self, capsys):
+        # od, verify and conjecture sweep orientations under the cap; the
+        # other commands take no --edge-cap rather than ignore one
+        for argv in (["aut", K3], ["dprime", K3], ["tree-od", P3_G6],
+                     ["orient", K3, "--method", "layered"], ["kmn", "2", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--edge-cap", "1"])
+            assert exc.value.code == 2, argv
+        assert main(["od", P3_G6, "--edge-cap", "1"]) == 2  # P3 has 2 edges
+        assert main(["od", P3_G6, "--edge-cap", "2"]) == 0
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         import disorient.cli as cli
 

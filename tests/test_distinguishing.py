@@ -18,6 +18,7 @@ from disorient import (
     connected_graphs,
     count_optimal_rooted_colourings,
     cycle_graph,
+    double_star,
     dprime,
     dprime_at_most,
     encode_graph6,
@@ -29,14 +30,25 @@ from disorient import (
     star_graph,
     trees,
 )
-from disorient.distinguishing import _candidate_strings, _width_floor
+from disorient.distinguishing import _candidate_strings, _twin_rules
 from disorient.search import code_rows, twin_classes
 
 
 def _floor(x) -> int:
     """The first width the index search tries on x."""
+    g = x.base if isinstance(x, Orientation) else x
     rows = code_rows(x)
-    return _width_floor(rows, twin_classes(rows))
+    return _twin_rules(g, rows, twin_classes(rows))[0]
+
+
+def _unpruned_first(x) -> Colouring:
+    """First distinguishing candidate of the walk with no twin comparisons."""
+    g = x.base if isinstance(x, Orientation) else x
+    for k in range(1, g.m + 1):
+        for assignment in _candidate_strings(g.m, k, [()] * g.m):
+            if is_distinguishing(x, Colouring(k, assignment)):
+                return Colouring(k, assignment)
+    raise AssertionError("no distinguishing colouring at any width")
 
 
 def _directed_triangle():
@@ -205,20 +217,41 @@ class TestDprime:
 class TestCandidates:
     def test_candidate_strings_match_filter(self):
         for m in range(0, 7):
-            groups = [[]]  # disjoint cliques of edges, each ascending
+            # each case lists (us, vs) pairs: the colours on the edges us
+            # are lexicographically below those on vs, position by position
+            cases = [[]]
             if m >= 3:
-                groups += [[[0, m - 1]], [list(range(m))]]
+                cases += [[((0,), (m - 1,))],
+                          [((i,), (i + 1,)) for i in range(m - 1)]]
             if m >= 4:
-                groups.append([[0, 2], [1, 3]])
-            for cliques in groups:
-                # each edge is banned the colours of its clique's earlier edges
-                prior = [()] * m
-                for clique in cliques:
-                    for pos, i in enumerate(clique):
-                        prior[i] = tuple(clique[:pos])
+                cases += [[((0,), (2,)), ((1,), (3,))],
+                          [((0, 1), (2, 3))],
+                          # K_{2,2}'s two classes: edge 3 completes both
+                          [((0, 1), (2, 3)), ((0, 2), (1, 3))]]
+            for pairs in cases:
+                order = [()] * m
+                for us, vs in pairs:
+                    for j, i in enumerate(vs):
+                        order[i] += ((us[:j + 1], vs[:j], j == len(vs) - 1),)
                 for k in range(1, 5):
-                    assert list(_candidate_strings(m, k, prior)) == \
-                        oracles.restricted_growth_strings(m, k, cliques), (m, k, cliques)
+                    want = [a for a in oracles.restricted_growth_strings(m, k)
+                            if all(tuple(a[i] for i in us) < tuple(a[i] for i in vs)
+                                   for us, vs in pairs)]
+                    assert list(_candidate_strings(m, k, order)) == want, (m, k, pairs)
+
+    def test_twin_order_keeps_the_first_witness(self):
+        # the twin order skips no witness: dprime agrees with the walk
+        # that has no twin comparisons, value and witness
+        xs = [complete_bipartite_graph(m, n)
+              for m in range(2, 4) for n in range(m + 1, 7) if m * n <= 12]
+        xs += [double_star(a, b) for b in range(1, 4) for a in range(1, b + 1)]
+        xs += [star_graph(n) for n in range(2, 7)]
+        for m, n in ((2, 3), (2, 4), (3, 3), (2, 5)):
+            xs += enumerate_orientations(complete_bipartite_graph(m, n))
+        for x in xs:
+            want = _unpruned_first(x)
+            r = dprime(x)
+            assert (r.value, r.witness) == (want.width, want), x
 
     def test_width_floor_below_the_index(self):
         for n in range(3, 8):
